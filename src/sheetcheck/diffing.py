@@ -29,8 +29,10 @@ from .formulas import (
     Unary,
     canonicalize,
     parse_formula,
+    range_addresses,
     render_formula,
     render_reference,
+    walk_ast,
 )
 from .grid import Cell, CellAddress, Formula, Text, format_number, format_value
 
@@ -116,21 +118,11 @@ _USED_TOO_OFTEN = "used too often"
 def _operators_and_functions(ast: FormulaAst) -> tuple[Counter, Counter]:
     operators: Counter = Counter()
     functions: Counter = Counter()
-
-    def walk(node: FormulaAst) -> None:
-        if isinstance(node, Unary):
+    for node in walk_ast(ast):
+        if isinstance(node, (Unary, Binary)):
             operators[node.op.symbol] += 1
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            operators[node.op.symbol] += 1
-            walk(node.left)
-            walk(node.right)
         elif isinstance(node, FuncCall):
             functions[node.name] += 1
-            for arg in node.args:
-                walk(arg)
-
-    walk(ast)
     return operators, functions
 
 
@@ -139,31 +131,12 @@ _RefItem = tuple[CellAddress, bool, bool]
 
 def _reference_items(ast: FormulaAst) -> Counter:
     items: Counter = Counter()
-
-    def walk(node: FormulaAst) -> None:
+    for node in walk_ast(ast):
         if isinstance(node, CellRef):
             items[(node.address, node.col_absolute, node.row_absolute)] += 1
         elif isinstance(node, RangeRef):
-            for ref in _expand(node):
-                items[ref] += 1
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    def _expand(node: RangeRef) -> list[_RefItem]:
-        from .formulas import range_addresses
-
-        return [
-            (address, node.start.col_absolute, node.start.row_absolute)
-            for address in range_addresses(node)
-        ]
-
-    walk(ast)
+            for address in range_addresses(node):
+                items[(address, node.start.col_absolute, node.start.row_absolute)] += 1
     return items
 
 
@@ -171,24 +144,13 @@ def _constants(ast: FormulaAst) -> tuple[list[float], Counter, Counter]:
     numbers: list[float] = []
     texts: Counter = Counter()
     booleans: Counter = Counter()
-
-    def walk(node: FormulaAst) -> None:
+    for node in walk_ast(ast):
         if isinstance(node, NumberLit):
             numbers.append(node.value)
         elif isinstance(node, TextLit):
             texts[node.text] += 1
         elif isinstance(node, BoolLit):
             booleans[node.value] += 1
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(ast)
     return numbers, texts, booleans
 
 
@@ -218,11 +180,8 @@ class _RefGroup:
 
 
 def _solution_groups(ast: FormulaAst, sheet: str) -> list[_RefGroup]:
-    from .formulas import range_addresses
-
     groups: list[_RefGroup] = []
-
-    def walk(node: FormulaAst) -> None:
+    for node in walk_ast(ast):
         if isinstance(node, CellRef):
             groups.append(
                 _RefGroup(render_reference(node, sheet), False, node.address, frozenset({node.address}))
@@ -232,16 +191,6 @@ def _solution_groups(ast: FormulaAst, sheet: str) -> list[_RefGroup]:
             groups.append(
                 _RefGroup(render_reference(node, sheet), True, node.start.address, members)
             )
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(ast)
     return groups
 
 
@@ -280,8 +229,7 @@ def _match_numbers(
     missing = []
     for value in sorted(solution):
         for index, candidate in enumerate(remaining):
-            bound = max(tolerance.abs, tolerance.rel * max(abs(value), abs(candidate)))
-            if abs(value - candidate) <= bound:
+            if tolerance.close(value, candidate):
                 del remaining[index]
                 break
         else:

@@ -61,6 +61,10 @@ class Tolerance:
         if self.abs < 0 or self.rel < 0:
             raise ValueError("tolerances must be non-negative")
 
+    def close(self, a: float, b: float) -> bool:
+        """True when a and b differ by at most the larger of the two bounds."""
+        return abs(a - b) <= max(self.abs, self.rel * max(abs(a), abs(b)))
+
 
 DEFAULT_TOLERANCE = Tolerance()
 
@@ -76,8 +80,7 @@ def values_equal(a: Value, b: Value, tolerance: Tolerance = DEFAULT_TOLERANCE) -
     transitive.
     """
     if isinstance(a, Number) and isinstance(b, Number):
-        bound = max(tolerance.abs, tolerance.rel * max(abs(a.value), abs(b.value)))
-        return abs(a.value - b.value) <= bound
+        return tolerance.close(a.value, b.value)
     if isinstance(a, Text) and isinstance(b, Text):
         return a.value.strip() == b.value.strip()
     if isinstance(a, Boolean) and isinstance(b, Boolean):
@@ -288,6 +291,20 @@ def _comparison(op: BinOp, left: Value, right: Value) -> Value:
     return Boolean(x >= y)
 
 
+def _binary(op: BinOp, left: Value, right: Value) -> Value:
+    if op in (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV, BinOp.POW):
+        return _arithmetic(op, left, right)
+    if op is BinOp.CONCAT:
+        a = _as_text(left)
+        if isinstance(a, CellError):
+            return a
+        b = _as_text(right)
+        if isinstance(b, CellError):
+            return b
+        return Text(a + b)
+    return _comparison(op, left, right)
+
+
 _Resolver = Callable[[CellAddress], Value]
 
 
@@ -308,19 +325,17 @@ def _eval(node: FormulaAst, resolve: _Resolver) -> Value:
             return operand
         return _number_value(-operand if node.op is UnaryOp.NEG else operand)
     if isinstance(node, Binary):
-        left = _eval(node.left, resolve)
-        right = _eval(node.right, resolve)
-        if node.op in (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV, BinOp.POW):
-            return _arithmetic(node.op, left, right)
-        if node.op is BinOp.CONCAT:
-            a = _as_text(left)
-            if isinstance(a, CellError):
-                return a
-            b = _as_text(right)
-            if isinstance(b, CellError):
-                return b
-            return Text(a + b)
-        return _comparison(node.op, left, right)
+        # Left-associative chains such as A1+A2+...+An are left-deep: fold
+        # the left spine in a loop instead of recursing down it.  Operands
+        # still evaluate left to right, so the first error still wins.
+        spine = []
+        while isinstance(node, Binary):
+            spine.append(node)
+            node = node.left
+        value = _eval(node, resolve)
+        for parent in reversed(spine):
+            value = _binary(parent.op, value, _eval(parent.right, resolve))
+        return value
     values: list[Value] = []
     for arg in node.args:
         if isinstance(arg, RangeRef):

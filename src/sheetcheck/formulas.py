@@ -431,16 +431,35 @@ def syntax_check(workbook: Workbook) -> SyntaxReport:
 # --------------------------------------------------------------------------
 
 
-def _walk(node: FormulaAst) -> Iterator[FormulaAst]:
-    yield node
+def child_nodes(node: FormulaAst) -> tuple[FormulaAst, ...]:
+    """Direct subexpressions, left to right; range corners are not children."""
     if isinstance(node, Unary):
-        yield from _walk(node.operand)
-    elif isinstance(node, Binary):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            yield from _walk(arg)
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, FuncCall):
+        return node.args
+    return ()
+
+
+def walk_ast(ast: FormulaAst) -> Iterator[FormulaAst]:
+    """Every node in pre-order, children left to right.
+
+    The walk keeps an explicit stack, so a formula as deep as a long
+    hand-written sum never exhausts the recursion limit.
+    """
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        yield node
+        # child_nodes inlined: reference extraction walks every formula
+        if isinstance(node, Binary):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, FuncCall):
+            stack.extend(reversed(node.args))
 
 
 def references_of(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> tuple[CellAddress, ...]:
@@ -449,7 +468,7 @@ def references_of(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> tuple[Ce
     Ranges expand to individual addresses; absoluteness flags are dropped.
     """
     addresses: set[CellAddress] = set()
-    for node in _walk(ast):
+    for node in walk_ast(ast):
         if isinstance(node, CellRef):
             addresses.add(node.address)
         elif isinstance(node, RangeRef):
@@ -484,10 +503,21 @@ def _node_key(node: FormulaAst) -> tuple:
     return (7, node.name, tuple(_node_key(a) for a in node.args))
 
 
-def _flatten_chain(node: FormulaAst, op: BinOp) -> list[FormulaAst]:
-    if isinstance(node, Binary) and node.op is op:
-        return _flatten_chain(node.left, op) + _flatten_chain(node.right, op)
-    return [node]
+def chain_operands(node: FormulaAst, op: BinOp) -> list[FormulaAst]:
+    """Operands of the maximal `op` chain rooted at `node`, left to right.
+
+    A node that is not an `op` Binary is its own single operand.
+    """
+    operands: list[FormulaAst] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary) and node.op is op:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            operands.append(node)
+    return operands
 
 
 def _chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
@@ -501,9 +531,13 @@ def _chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
     return Binary(op, _chain(operands[:mid], op), _chain(operands[mid:], op))
 
 
-def _sorted_chain(node: Binary) -> FormulaAst:
-    operands = sorted(_flatten_chain(node, node.op), key=_node_key)
-    return _chain(operands, node.op)
+def _canonical_chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
+    """Chain over canonical operands: nested `op` chains spliced, sorted once."""
+    flat: list[FormulaAst] = []
+    for operand in operands:
+        flat.extend(chain_operands(operand, op))
+    flat.sort(key=_node_key)
+    return _chain(flat, op)
 
 
 def _expand_operands(args: tuple[FormulaAst, ...], limit: int) -> list[FormulaAst]:
@@ -519,44 +553,39 @@ def _expand_operands(args: tuple[FormulaAst, ...], limit: int) -> list[FormulaAs
     return operands
 
 
-def _canon(node: FormulaAst, limit: int) -> FormulaAst:
-    if isinstance(node, Unary):
-        operand = _canon(node.operand, limit)
-        if node.op is UnaryOp.NEG and isinstance(operand, Unary) and operand.op is UnaryOp.NEG:
-            return operand.operand
-        return Unary(node.op, operand)
-    if isinstance(node, Binary):
-        rebuilt = Binary(node.op, _canon(node.left, limit), _canon(node.right, limit))
-        if rebuilt.op in _CHAIN_OPS:
-            return _sorted_chain(rebuilt)
-        return rebuilt
-    if isinstance(node, FuncCall):
-        args = tuple(_canon(arg, limit) for arg in node.args)
-        if node.name in ("SUM", "AVG"):
-            operands = _expand_operands(args, limit)
-            total = _chain(sorted(operands, key=_node_key), BinOp.ADD)
-            if node.name == "SUM":
-                return total
-            return Binary(BinOp.DIV, total, NumberLit(float(len(operands))))
-        return FuncCall(node.name, args)
-    return node
-
-
 def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAst:
     """Rewrite an AST to its canonical comparison form.
 
     SUM and AVG calls expand to explicit chains (AVG divides by the static
     operand count), ranges inside those rewrites expand to cell lists,
-    operands of maximal "+" and "*" chains are sorted (references first,
+    maximal "+" and "*" chains are flattened, with nested chains of the
+    same operator spliced in, and their operands sorted (references first,
     row-major, then literals by value), and double negation is dropped.
-    No constant folding happens; the result is a deterministic fixpoint.
+    No constant folding happens.  The rewrite is one bottom-up pass whose
+    result is its own canonical form; chains are built as balanced trees.
     """
-    current = _canon(ast, limit)
-    while True:
-        following = _canon(current, limit)
-        if following == current:
-            return current
-        current = following
+    if isinstance(ast, Unary):
+        operand = canonicalize(ast.operand, limit)
+        if ast.op is UnaryOp.NEG and isinstance(operand, Unary) and operand.op is UnaryOp.NEG:
+            return operand.operand
+        return Unary(ast.op, operand)
+    if isinstance(ast, Binary):
+        if ast.op in _CHAIN_OPS:
+            # The chain's operands come off the input tree without recursing
+            # along it, so a left-deep n-term chain costs one sort, not n.
+            operands = [canonicalize(operand, limit) for operand in chain_operands(ast, ast.op)]
+            return _canonical_chain(operands, ast.op)
+        return Binary(ast.op, canonicalize(ast.left, limit), canonicalize(ast.right, limit))
+    if isinstance(ast, FuncCall):
+        args = tuple(canonicalize(arg, limit) for arg in ast.args)
+        if ast.name in ("SUM", "AVG"):
+            operands = _expand_operands(args, limit)
+            total = _canonical_chain(operands, BinOp.ADD)
+            if ast.name == "SUM":
+                return total
+            return Binary(BinOp.DIV, total, NumberLit(float(len(operands))))
+        return FuncCall(ast.name, args)
+    return ast
 
 
 # --------------------------------------------------------------------------

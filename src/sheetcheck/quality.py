@@ -23,11 +23,12 @@ from .formulas import (
     NumberLit,
     RangeRef,
     TextLit,
-    Unary,
     canonicalize,
+    chain_operands,
+    child_nodes,
     parse_formula,
     range_size,
-    _flatten_chain,
+    walk_ast,
 )
 from .graph import CycleError, DependencyGraph, longest_chain, terminals
 from .grid import CellAddress, CellError, Formula, Value, Workbook, row_major
@@ -108,38 +109,28 @@ QualityFinding = MetricExceeded | IdiomSuggestion | DuplicateCalculation
 def _operator_operand_counts(ast: FormulaAst) -> tuple[int, int]:
     operators = 0
     operands = 0
-
-    def walk(node: FormulaAst) -> None:
-        nonlocal operators, operands
+    for node in walk_ast(ast):
         if isinstance(node, (NumberLit, TextLit, BoolLit, CellRef)):
             operands += 1
         elif isinstance(node, RangeRef):
             operators += 1  # the ":" range operator
             operands += range_size(node)
-        elif isinstance(node, Unary):
-            operators += 1
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            operators += 1
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            operators += 1  # a function application
-            for arg in node.args:
-                walk(arg)
-
-    walk(ast)
+        else:
+            operators += 1  # a unary or binary operator, or a function application
     return operators, operands
 
 
 def _nesting_depth(ast: FormulaAst) -> int:
-    if isinstance(ast, Unary):
-        return _nesting_depth(ast.operand)
-    if isinstance(ast, Binary):
-        return 1 + max(_nesting_depth(ast.left), _nesting_depth(ast.right))
-    if isinstance(ast, FuncCall):
-        return 1 + max((_nesting_depth(arg) for arg in ast.args), default=0)
-    return 0
+    """Most binary operators and function calls on one root-to-node path."""
+    deepest = 0
+    stack = [(ast, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (Binary, FuncCall)):
+            depth += 1
+            deepest = max(deepest, depth)
+        stack.extend((child, depth) for child in child_nodes(node))
+    return deepest
 
 
 def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
@@ -215,15 +206,7 @@ def compare_metrics(
 
 
 def _mentions_function(ast: FormulaAst, name: str) -> bool:
-    if isinstance(ast, FuncCall):
-        if ast.name == name:
-            return True
-        return any(_mentions_function(arg, name) for arg in ast.args)
-    if isinstance(ast, Unary):
-        return _mentions_function(ast.operand, name)
-    if isinstance(ast, Binary):
-        return _mentions_function(ast.left, name) or _mentions_function(ast.right, name)
-    return False
+    return any(isinstance(node, FuncCall) and node.name == name for node in walk_ast(ast))
 
 
 def _avg_pattern_operands(ast: FormulaAst) -> int | None:
@@ -232,7 +215,7 @@ def _avg_pattern_operands(ast: FormulaAst) -> int | None:
         return None
     if not isinstance(ast.right, NumberLit):
         return None
-    operands = _flatten_chain(ast.left, BinOp.ADD)
+    operands = chain_operands(ast.left, BinOp.ADD)
     if not all(isinstance(op, CellRef) for op in operands):
         return None
     addresses = {op.address for op in operands}
@@ -246,26 +229,17 @@ def _avg_pattern_operands(ast: FormulaAst) -> int | None:
 def _add_chains(ast: FormulaAst) -> list[list[FormulaAst]]:
     """Maximal "+" chains, skipping numerators that form a written-out average."""
     chains: list[list[FormulaAst]] = []
-
-    def walk(node: FormulaAst) -> None:
+    stack = [ast]
+    while stack:
+        node = stack.pop()
         if _avg_pattern_operands(node) is not None:
-            return  # that chain belongs to the AVG idiom
+            continue  # that chain belongs to the AVG idiom
         if isinstance(node, Binary) and node.op is BinOp.ADD:
-            operands = _flatten_chain(node, BinOp.ADD)
-            chains.append(operands)
-            for operand in operands:  # canonical chain operands are never ADD nodes
-                walk(operand)
-            return
-        if isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(ast)
+            children = chain_operands(node, BinOp.ADD)  # canonical operands are never ADD nodes
+            chains.append(children)
+        else:
+            children = child_nodes(node)
+        stack.extend(reversed(children))
     return chains
 
 

@@ -14,7 +14,8 @@ from sheetcheck import (
     evaluate,
     values_equal,
 )
-from sheetcheck.evaluate import evaluate_ast, workbook_contents
+from sheetcheck.evaluate import DIV_ZERO, evaluate_ast, workbook_contents
+from sheetcheck.formulas import parse_formula
 
 from conftest import addr, make_workbook
 from genwb import GenConfig, WorkbookGen
@@ -177,3 +178,25 @@ def test_matches_naive_fixpoint_oracle():
         oracle = naive_fixpoint(workbook)
         for address, value in oracle.items():
             assert grid[address] == value, f"{address}: {grid[address]} != {value}"
+
+
+# ---------------------------------------------------------------- long chains
+
+
+def test_long_mixed_chain_equals_left_fold():
+    rng = random.Random(7)
+    n = 5000
+    terms = [round(rng.uniform(-100.0, 100.0), 3) for _ in range(n)]
+    ops = [rng.choice("+-") for _ in range(n - 1)]
+    source = "=A1" + "".join(f"{op}A{i}" for i, op in enumerate(ops, start=2))
+    expected = terms[0]
+    for op, term in zip(ops, terms[1:]):
+        expected = expected + term if op == "+" else expected - term
+    values = {addr(f"A{i}"): Number(t) for i, t in enumerate(terms, start=1)}
+    assert evaluate_ast(parse_formula(source), values) == Number(expected)
+
+
+def test_long_chain_first_error_wins():
+    source = "=" + "+".join(["1"] * 2000 + ["1/0", "A1"] + ["1"] * 2000)
+    values = {addr("A1"): CellError(ErrorKind.BAD_REF)}
+    assert evaluate_ast(parse_formula(source), values) == DIV_ZERO

@@ -348,3 +348,15 @@ def test_integration_extras_and_spelling_hints():
     level5 = generate_feedback(bundle, submission, 5)
     assert "A function of cell D1 is incorrect." in level5.messages
     assert "A constant of cell G1 is incorrect." in level5.messages
+
+
+@pytest.mark.parametrize("level", (6, 7))
+def test_long_hand_written_sum_gets_a_report(level):
+    n = 5000
+    cells = {f"A{i}": i for i in range(1, n + 1)}
+    reference = make_workbook({**cells, "B1": f"=SUM(A1:A{n})"})
+    submission = make_workbook({**cells, "B1": "=" + "+".join(list(cells)[:-1] + ["A1"])})
+    bundle = TaskBundle(task="long-sum", reference=reference).validate()
+    report = generate_feedback(bundle, submission, level, force_quality=(level == 7))
+    assert report.status is Status.FAIL
+    assert [d.cell.text() for d in report.diagnoses] == ["B1", "B1"]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sheetcheck import (
@@ -241,6 +243,42 @@ def test_canonical_nested_avg_inside_round():
             NumberLit(2.0),
         ),
     )
+
+
+def canon(source):
+    return canonicalize(parse_formula(source))
+
+
+def test_canonical_splices_sum_argument_chains():
+    assert canon("=SUM(A1+B1,C1)") == canon("=A1+B1+C1")
+
+
+def test_canonical_avg_divides_by_argument_count_before_splicing():
+    assert canon("=AVG(A1+B1,C1)") == Binary(BinOp.DIV, canon("=A1+B1+C1"), NumberLit(2.0))
+
+
+def test_canonical_splices_nested_same_operator_chains():
+    assert canon("=A1+--(B1+C1)") == canon("=A1+B1+C1")
+    assert canon("=A1*--(B1*C1)") == canon("=A1*B1*C1")
+    assert canon("=SUM(SUM(A1:A2),A3)") == canon("=A1+A2+A3")
+
+
+def _depth(ast):
+    deepest = 0
+    stack = [(ast, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Binary):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
+def test_canonical_long_hand_written_sum_is_a_balanced_range_sum():
+    n = 5000
+    canonical = canon("=" + "+".join(f"A{i}" for i in range(n, 0, -1)))
+    assert canonical == canon(f"=SUM(A1:A{n})")
+    assert _depth(canonical) <= math.ceil(math.log2(n)) + 2
 
 
 # ---------------------------------------------------------------- rendering

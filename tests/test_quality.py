@@ -91,6 +91,15 @@ def test_nesting_depth(solution_metrics):
     assert deep.max_nesting_depth == 3
 
 
+def test_metrics_of_long_hand_written_sum():
+    n = 5000
+    cells = {f"A{i}": 1 for i in range(1, n + 1)}
+    metrics = metrics_of(make_workbook({**cells, "B1": "=" + "+".join(cells)}))
+    assert metrics.operator_total == n - 1
+    assert metrics.operand_total == n
+    assert metrics.max_nesting_depth == n - 1
+
+
 def test_metrics_insertion_order_independent(grades):
     cells = {}
     for cell in grades.submission.sheets[0].sorted_cells():
