@@ -15,22 +15,22 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluate import Tolerance, evaluate
+from .evaluate import Tolerance
 from .feedback import (
     FeedbackReport,
     Status,
     TaskBundle,
+    analyze,
     generate_feedback,
     load_bundle,
+    metrics_doc,
     render_json,
     render_text,
     report_to_doc,
-    _metrics_doc,
 )
 from .formulas import syntax_check
-from .graph import build_graph, export_dot
+from .graph import export_dot
 from .grid import Workbook, read_workbook
-from .quality import compute_metrics
 
 _STATUS_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.SYNTAX_ERROR: 2}
 
@@ -129,11 +129,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     workbook = _checked_workbook(args)
     if workbook is None:
         return 2
-    grid = evaluate(workbook)
-    graph = build_graph(workbook, grid)
-    metrics = compute_metrics(workbook, graph, grid)
     qualify = len(workbook.sheets) > 1
-    sys.stdout.write(json.dumps(_metrics_doc(metrics, qualify), indent=2) + "\n")
+    sys.stdout.write(json.dumps(metrics_doc(analyze(workbook).metrics, qualify), indent=2) + "\n")
     return 0
 
 
@@ -141,8 +138,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     workbook = _checked_workbook(args)
     if workbook is None:
         return 2
-    grid = evaluate(workbook)
-    sys.stdout.write(export_dot(build_graph(workbook, grid)))
+    sys.stdout.write(export_dot(analyze(workbook).graph))
     return 0
 
 

@@ -310,7 +310,7 @@ _Resolver = Callable[[CellAddress], Value]
 
 def _eval(node: FormulaAst, resolve: _Resolver) -> Value:
     if isinstance(node, NumberLit):
-        return Number(node.value)
+        return _number_value(node.value)  # a literal such as 1e999 overflows
     if isinstance(node, TextLit):
         return Text(node.text)
     if isinstance(node, BoolLit):
@@ -377,15 +377,21 @@ def cell_value(
     sheets: frozenset[str] | set[str],
     address: CellAddress,
     memo: dict[CellAddress, Value],
-    _visiting: set[CellAddress] | None = None,
 ) -> Value:
     """Evaluate one cell on demand, memoizing into `memo`.
 
     References to sheets outside `sheets` read as BAD_REF; a reference back
     into a cell currently being evaluated reads as CYCLE, which then
     propagates to every cell on the cycle.
+
+    Formula cells wait on an explicit stack instead of recursing, so a
+    chain of any length evaluates.  A formula whose references are not all
+    known yet is evaluated once with placeholders to list them, and again
+    after they are; the cells it waits on run in the order recursive
+    evaluation would reach them, so CYCLE lands on the same cells.
     """
-    visiting = _visiting if _visiting is not None else set()
+    visiting: set[CellAddress] = set()
+    waiting: list[CellAddress] = []
 
     def resolve(target: CellAddress) -> Value:
         cached = memo.get(target)
@@ -399,13 +405,28 @@ def cell_value(
         if isinstance(content, VALUE_TYPES):
             memo[target] = content
             return content
+        waiting.append(target)
+        return BLANK  # placeholder: the reading formula runs again later
+
+    value = resolve(address)
+    if not waiting:
+        return value
+    stack = waiting[:]
+    while stack:
+        target = stack[-1]
+        if target in memo:  # reached meanwhile through another reference
+            stack.pop()
+            continue
         visiting.add(target)
-        value = _eval(content, resolve)
+        waiting.clear()
+        value = _eval(contents[target], resolve)
+        if waiting:
+            stack.extend(reversed(waiting))
+            continue
         visiting.discard(target)
         memo[target] = value
-        return value
-
-    return resolve(address)
+        stack.pop()
+    return memo[address]
 
 
 def evaluate(workbook: Workbook) -> dict[CellAddress, Value]:

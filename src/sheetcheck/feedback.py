@@ -22,8 +22,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .diffing import ErrorCategory, ErrorDetail, diff_formula
 from .evaluate import DEFAULT_TOLERANCE, CYCLE, Tolerance, evaluate
-from .graph import DependencyGraph, build_graph
 from .formulas import SyntaxReport, syntax_check
+from .graph import DependencyGraph, build_graph
 from .grid import (
     BLANK,
     Cell,
@@ -34,6 +34,7 @@ from .grid import (
     parse_address,
     read_workbook,
     row_major,
+    workbook_from_doc,
 )
 from .matching import MatchResult, match_values
 from .quality import (
@@ -51,6 +52,37 @@ from .quality import (
 
 class TaskConfigError(ValueError):
     """The task bundle is unusable; distinct from student-facing statuses."""
+
+
+# --------------------------------------------------------------------------
+# Workbook analysis
+# --------------------------------------------------------------------------
+
+
+class WorkbookAnalysis:
+    """A syntax-checked workbook with its grid, graph and quality metrics.
+
+    The grid is evaluated when the analysis is made; the dependency graph
+    and the metrics are computed on first use and kept.  The reference of
+    a task bundle is analysed once per bundle, a submission once per report.
+    """
+
+    def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value]):
+        self.workbook = workbook
+        self.grid = grid
+
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        return build_graph(self.workbook, self.grid)
+
+    @cached_property
+    def metrics(self) -> QualityMetrics:
+        return compute_metrics(self.workbook, self.graph, self.grid)
+
+
+def analyze(workbook: Workbook) -> WorkbookAnalysis:
+    """Evaluate a workbook that has passed the syntax check."""
+    return WorkbookAnalysis(workbook, evaluate(workbook))
 
 
 # --------------------------------------------------------------------------
@@ -100,21 +132,13 @@ class TaskBundle:
                 f"reference workbook has syntax errors, first in "
                 f"{first.cell.text(qualified=True)}: {first.message}"
             )
-        if any(value == CYCLE for value in self.reference_grid.values()):
+        if any(value == CYCLE for value in self.reference_analysis.grid.values()):
             raise TaskConfigError("reference workbook contains a reference cycle")
         return self
 
     @cached_property
-    def reference_grid(self) -> dict[CellAddress, Value]:
-        return evaluate(self.reference)
-
-    @cached_property
-    def reference_graph(self) -> DependencyGraph:
-        return build_graph(self.reference, self.reference_grid)
-
-    @cached_property
-    def reference_metrics(self) -> QualityMetrics:
-        return compute_metrics(self.reference, self.reference_graph, self.reference_grid)
+    def reference_analysis(self) -> WorkbookAnalysis:
+        return analyze(self.reference)
 
 
 def _normalize_keywords(raw: Iterable[str]) -> tuple[str, ...]:
@@ -177,9 +201,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     if isinstance(reference_doc, str):
         reference = read_workbook((base / reference_doc).read_text(encoding="utf-8"))
     else:
-        from .grid import _workbook_from_doc
-
-        reference = _workbook_from_doc(reference_doc)
+        reference = workbook_from_doc(reference_doc)
     default_sheet = reference.sheets[0].name if reference.sheets else "Sheet1"
 
     tolerance_doc = doc.get("tolerance") or {}
@@ -495,7 +517,8 @@ def generate_feedback(
             qualify_sheets=qualify,
         )
 
-    match = match_values(bundle.reference, submission, bundle.tolerance, bundle.graded)
+    analysis = analyze(submission)
+    match = match_values(bundle.reference_analysis, analysis, bundle.tolerance, bundle.graded)
     status = Status.FAIL if match.value_errors else Status.PASS
 
     details: dict[CellAddress, ErrorDetail] = {}
@@ -510,13 +533,11 @@ def generate_feedback(
         Diagnosis(a, DiagnosisKind.FORMULA_ERROR, details[a]) for a in match.formula_errors
     )
 
-    submission_grid = evaluate(submission)
-    submission_graph = build_graph(submission, submission_grid)
-    submission_metrics = compute_metrics(submission, submission_graph, submission_grid)
+    reference_metrics = bundle.reference_analysis.metrics
     findings: tuple[QualityFinding, ...] = tuple(
         idiom_suggestions(submission, bundle.quality)
         + duplicate_calculations(submission)
-        + compare_metrics(submission_metrics, bundle.reference_metrics, bundle.quality)
+        + compare_metrics(analysis.metrics, reference_metrics, bundle.quality)
     )
 
     messages = _level_messages(bundle, match, details, status, level, force_quality, findings, qualify)
@@ -528,7 +549,7 @@ def generate_feedback(
         messages=tuple(messages),
         diagnoses=diagnoses,
         quality=findings,
-        metrics=(submission_metrics, bundle.reference_metrics),
+        metrics=(analysis.metrics, reference_metrics),
         syntax=syntax,
         qualify_sheets=qualify,
     )
@@ -592,7 +613,7 @@ def render_text(report: FeedbackReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metrics_doc(metrics: QualityMetrics, qualify: bool) -> dict[str, Any]:
+def metrics_doc(metrics: QualityMetrics, qualify: bool) -> dict[str, Any]:
     def fan(value: tuple[CellAddress, int] | None) -> dict[str, Any] | None:
         if value is None:
             return None
@@ -671,8 +692,8 @@ def report_to_doc(report: FeedbackReport) -> dict[str, Any]:
         "quality": [_finding_doc(finding, qualify) for finding in report.quality],
         "metrics": (
             {
-                "submission": _metrics_doc(report.metrics[0], qualify),
-                "reference": _metrics_doc(report.metrics[1], qualify),
+                "submission": metrics_doc(report.metrics[0], qualify),
+                "reference": metrics_doc(report.metrics[1], qualify),
             }
             if report.metrics
             else None

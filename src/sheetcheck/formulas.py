@@ -32,6 +32,11 @@ FUNCTION_ALIASES = {"AVERAGE": "AVG"}
 
 DEFAULT_RANGE_LIMIT = 10_000
 
+# Deepest nesting of parentheses, function calls, signs and exponents a
+# formula may use, as in Excel.  It bounds the recursion of the parser and
+# of every later stage that descends into nested subexpressions.
+MAX_NESTING = 64
+
 
 class FormulaError(ValueError):
     """Base for formula-stage failures; carries the source position."""
@@ -220,6 +225,7 @@ class _Parser:
         self.tokens = tokens
         self.sheet = sheet
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -238,6 +244,12 @@ class _Parser:
     def at_op(self, *symbols: str) -> bool:
         token = self.peek()
         return token.kind == "OP" and token.text in symbols
+
+    def nest(self, token: _Token) -> None:
+        """Enter one nesting level at `token`; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError("formula is nested too deeply", token.pos)
 
     # expression := comparison
     def expression(self) -> FormulaAst:
@@ -270,15 +282,20 @@ class _Parser:
 
     def unary(self) -> FormulaAst:
         if self.at_op("-", "+"):
-            op = UnaryOp.NEG if self.take().text == "-" else UnaryOp.POS
-            return Unary(op, self.unary())
+            sign = self.take()
+            self.nest(sign)
+            node = Unary(UnaryOp.NEG if sign.text == "-" else UnaryOp.POS, self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> FormulaAst:
         node = self.atom()
         if self.at_op("^"):
-            self.take()
-            return Binary(BinOp.POW, node, self.unary())
+            caret = self.take()
+            self.nest(caret)
+            node = Binary(BinOp.POW, node, self.unary())
+            self.depth -= 1
         return node
 
     def atom(self) -> FormulaAst:
@@ -294,9 +311,10 @@ class _Parser:
         if token.kind == "IDENT":
             return self.ident()
         if token.kind == "LPAREN":
-            self.take()
+            self.nest(self.take())
             node = self.expression()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return node
         raise FormulaSyntaxError(f"unexpected {token.text!r}" if token.text else "unexpected end of formula", token.pos)
 
@@ -313,7 +331,7 @@ class _Parser:
             name = FUNCTION_ALIASES.get(name, name)
             if name not in SUPPORTED_FUNCTIONS:
                 raise UnknownFunctionError(f"unknown function {token.text!r}", token.pos)
-            self.take()
+            self.nest(self.take())
             args: list[FormulaAst] = []
             if self.peek().kind != "RPAREN":
                 args.append(self.expression())
@@ -321,6 +339,7 @@ class _Parser:
                     self.take()
                     args.append(self.expression())
             self.expect("RPAREN", "')' to close the argument list")
+            self.depth -= 1
             return FuncCall(name, tuple(args))
         upper = token.text.upper()
         if upper == "TRUE":
@@ -575,7 +594,16 @@ def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAs
             # along it, so a left-deep n-term chain costs one sort, not n.
             operands = [canonicalize(operand, limit) for operand in chain_operands(ast, ast.op)]
             return _canonical_chain(operands, ast.op)
-        return Binary(ast.op, canonicalize(ast.left, limit), canonicalize(ast.right, limit))
+        # Other chains such as A1-A2-...-An stay left-deep: fold the left
+        # spine in a loop instead of recursing down it.
+        spine = []
+        while isinstance(ast, Binary) and ast.op not in _CHAIN_OPS:
+            spine.append(ast)
+            ast = ast.left
+        node = canonicalize(ast, limit)
+        for parent in reversed(spine):
+            node = Binary(parent.op, node, canonicalize(parent.right, limit))
+        return node
     if isinstance(ast, FuncCall):
         args = tuple(canonicalize(arg, limit) for arg in ast.args)
         if ast.name in ("SUM", "AVG"):

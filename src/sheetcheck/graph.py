@@ -10,6 +10,7 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .evaluate import BAD_REF
@@ -41,6 +42,22 @@ class DependencyGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(self.out_edges.get(node, ())) for node in self.nodes)
+
+    @cached_property
+    def acyclic_order(self) -> tuple[CellAddress, ...]:
+        """Every node that reaches no cycle, each after all the nodes it references.
+
+        Nodes left out lie on a cycle or reference one, directly or through
+        other cells.  Sinks come first; the order is deterministic.
+        """
+        unresolved = {node: len(self.out_edges.get(node, ())) for node in self.nodes}
+        order = [node for node in self.nodes if not unresolved[node]]
+        for node in order:  # the list grows while it is walked
+            for source in self.in_edges.get(node, ()):
+                unresolved[source] -= 1
+                if not unresolved[source]:
+                    order.append(source)
+        return tuple(order)
 
 
 def build_graph(workbook: Workbook, grid: Mapping[CellAddress, Value]) -> DependencyGraph:
@@ -111,21 +128,12 @@ def _find_cycle(graph: DependencyGraph) -> tuple[CellAddress, ...] | None:
 
 def longest_chain(graph: DependencyGraph) -> int:
     """Length in edges of the longest directed path; the graph must be acyclic."""
-    cycle = _find_cycle(graph)
-    if cycle is not None:
-        raise CycleError(cycle)
+    if len(graph.acyclic_order) < len(graph.nodes):
+        raise CycleError(_find_cycle(graph))
     depth: dict[CellAddress, int] = {}
-
-    def chain_from(node: CellAddress) -> int:
-        cached = depth.get(node)
-        if cached is not None:
-            return cached
-        neighbors = graph.out_edges.get(node, ())
-        value = 1 + max((chain_from(n) for n in neighbors), default=-1)
-        depth[node] = value
-        return value
-
-    return max((chain_from(node) for node in graph.nodes), default=0)
+    for node in graph.acyclic_order:
+        depth[node] = 1 + max((depth[n] for n in graph.out_edges.get(node, ())), default=-1)
+    return max(depth.values(), default=0)
 
 
 def _dot_quote(text: str) -> str:

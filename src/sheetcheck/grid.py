@@ -305,7 +305,8 @@ def _sheet_from_doc(doc: Any, position: str) -> Sheet:
     return Sheet(name, cells)
 
 
-def _workbook_from_doc(doc: Any) -> Workbook:
+def workbook_from_doc(doc: Any) -> Workbook:
+    """Build a workbook from its parsed JSON document; see `read_workbook`."""
     if not isinstance(doc, dict):
         raise WorkbookFormatError("workbook document must be an object")
     unknown = set(doc) - {"name", "sheets"}
@@ -333,7 +334,7 @@ def read_workbook(text: str) -> Workbook:
         doc = json.loads(text, object_pairs_hook=_reject_duplicates, parse_constant=_reject_nonfinite)
     except json.JSONDecodeError as exc:
         raise WorkbookFormatError(f"invalid workbook JSON: {exc}") from exc
-    return _workbook_from_doc(doc)
+    return workbook_from_doc(doc)
 
 
 def _encode(content: CellContent) -> Any:

@@ -8,16 +8,37 @@ in which already-diagnosed cells hold the reference values.  A cell that
 still disagrees at that point is the original error site, a formula error,
 and its working-copy entry is overwritten with the reference value so that
 errors it propagated do not count against the cells downstream.
+
+Re-evaluation reads one working memo of cell values, seeded from the
+submission's grid, so a cell that no correction reaches costs a lookup.
+A correction stores the reference value and drops the memo entries of
+the cells that depend on the corrected one, transitively, found through
+the submission graph's incoming edges; they are evaluated again when
+next read.  A correction that adds a sheet the submission lacks drops the
+whole memo, because references into that sheet turn from BAD_REF into
+cell values.  Cells that can reach a reference cycle of the submission
+are re-evaluated from a fresh memo instead: a cycle's values depend on
+the cell evaluation starts from.  The depth-first walk and evaluation
+keep explicit stacks, so chains of any length are matched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, evaluate, workbook_contents, values_equal
-from .graph import build_graph, terminals
+from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
+from .graph import terminals
 from .grid import BLANK, Blank, Cell, CellAddress, Sheet, Value, Workbook, row_major
+
+# Not called here since matching takes analysed workbooks; the benchmark's
+# tracer (perfbench/tracing.py) still wraps these two names in this module.
+from .evaluate import evaluate  # noqa: F401
+from .graph import build_graph  # noqa: F401
+
+if TYPE_CHECKING:
+    from .feedback import WorkbookAnalysis
 
 
 class ComparePhase(Enum):
@@ -43,8 +64,8 @@ class MatchResult:
 
 
 def match_values(
-    reference: Workbook,
-    submission: Workbook,
+    reference: WorkbookAnalysis,
+    submission: WorkbookAnalysis,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     graded: frozenset[CellAddress] | set[CellAddress] | None = None,
 ) -> MatchResult:
@@ -58,17 +79,20 @@ def match_values(
     is not fatal: the affected cell re-evaluates to the CYCLE error, stays
     unequal and is reported as a formula error.
     """
-    reference_grid = evaluate(reference)
-    reference_graph = build_graph(reference, reference_grid)
-    submission_grid = evaluate(submission)
+    reference_grid = reference.grid
+    reference_edges = reference.graph.out_edges
+    submission_grid = submission.grid
+    dependents = submission.graph.in_edges
+    cyclic = set(submission.graph.nodes).difference(submission.graph.acyclic_order)
 
-    working = workbook_contents(submission)
-    working_sheets = set(submission.sheet_names())
+    working = workbook_contents(submission.workbook)
+    working_sheets = set(submission.workbook.sheet_names())
+    memo = dict(submission_grid)
 
     if graded is not None:
         roots = row_major(graded)
     else:
-        roots = terminals(reference_graph)[0]
+        roots = terminals(reference.graph)[0]
 
     visited: set[CellAddress] = set()
     value_errors: list[CellAddress] = []
@@ -76,9 +100,8 @@ def match_values(
     replacements: dict[CellAddress, Value] = {}
     trace: list[TraceEntry] = []
 
-    def visit(address: CellAddress) -> None:
-        if address in visited:
-            return
+    def enter(address: CellAddress) -> list:
+        """First comparison; returns the walk frame [address, solution, first_ok, next child]."""
         visited.add(address)
         solution = reference_grid.get(address, BLANK)
         first = submission_grid.get(address, BLANK)
@@ -86,28 +109,56 @@ def match_values(
         trace.append(TraceEntry(address, ComparePhase.FIRST_COMPARE, solution, first, first_ok))
         if not first_ok:
             value_errors.append(address)
+        return [address, solution, first_ok, 0]
 
-        for child in reference_graph.out_edges.get(address, ()):
-            visit(child)
-
-        # Fresh memo per re-evaluation: earlier corrections must be visible.
-        current = cell_value(working, working_sheets, address, memo={})
-        re_ok = values_equal(solution, current, tolerance)
-        trace.append(TraceEntry(address, ComparePhase.RE_EVALUATE, solution, current, re_ok))
-        if not re_ok:
-            if not first_ok:
-                formula_errors.append(address)
-            working[address] = solution
+    def correct(address: CellAddress, solution: Value) -> None:
+        working[address] = solution
+        replacements[address] = solution
+        if address.sheet not in working_sheets:
             working_sheets.add(address.sheet)
-            replacements[address] = solution
+            memo.clear()
+        else:
+            # An unmemoized cell has no memoized dependents, and a corrected
+            # cell holds a constant that nothing upstream can change.
+            stack = [address]
+            while stack:
+                for dependent in dependents.get(stack.pop(), ()):
+                    if dependent in memo and dependent not in replacements:
+                        del memo[dependent]
+                        stack.append(dependent)
+        memo[address] = solution
 
     for root in roots:
-        visit(root)
+        if root in visited:
+            continue
+        stack = [enter(root)]  # post-order walk of the reference graph
+        while stack:
+            frame = stack[-1]
+            address, solution, first_ok, index = frame
+            children = reference_edges.get(address, ())
+            if index < len(children):
+                frame[3] += 1
+                if children[index] not in visited:
+                    stack.append(enter(children[index]))
+                continue
+            stack.pop()
+            if address in cyclic:
+                current = cell_value(working, working_sheets, address, memo={})
+            elif address in memo:
+                current = memo[address]
+            else:
+                current = cell_value(working, working_sheets, address, memo)
+            re_ok = values_equal(solution, current, tolerance)
+            trace.append(TraceEntry(address, ComparePhase.RE_EVALUATE, solution, current, re_ok))
+            if not re_ok:
+                if not first_ok:
+                    formula_errors.append(address)
+                correct(address, solution)
 
     return MatchResult(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
-        corrected=_apply_replacements(submission, replacements),
+        corrected=_apply_replacements(submission.workbook, replacements),
         trace=tuple(trace),
     )
 

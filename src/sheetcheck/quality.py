@@ -23,6 +23,7 @@ from .formulas import (
     NumberLit,
     RangeRef,
     TextLit,
+    Unary,
     canonicalize,
     chain_operands,
     child_nodes,
@@ -272,16 +273,33 @@ def idiom_suggestions(workbook: Workbook, config: QualityConfig) -> list[Quality
     ]
 
 
+def _flat_form(ast: FormulaAst) -> tuple:
+    """The AST as a pre-order tuple of node labels, equal exactly when the ASTs are.
+
+    Hashing a left-deep chain of thousands of terms as nested nodes would
+    recurse once per term; the flat tuple hashes without recursing.
+    """
+    labels: list[object] = []
+    for node in walk_ast(ast):
+        if isinstance(node, (Binary, Unary)):
+            labels.append(node.op)
+        elif isinstance(node, FuncCall):
+            labels.append((node.name, len(node.args)))
+        else:
+            labels.append(node)
+    return tuple(labels)
+
+
 def duplicate_calculations(workbook: Workbook) -> list[QualityFinding]:
     """Groups of cells whose canonical formulas are identical, targets included.
 
     Offset copies produced by fill-down reference different cells and do
     not match.
     """
-    by_ast: dict[FormulaAst, list[CellAddress]] = {}
+    by_form: dict[tuple, list[CellAddress]] = {}
     for cell in workbook.formula_cells():
         canonical = canonicalize(parse_formula(cell.content.source, cell.address.sheet))
-        by_ast.setdefault(canonical, []).append(cell.address)
-    groups = [row_major(cells) for cells in by_ast.values() if len(cells) >= 2]
+        by_form.setdefault(_flat_form(canonical), []).append(cell.address)
+    groups = [row_major(cells) for cells in by_form.values() if len(cells) >= 2]
     groups.sort(key=lambda cells: cells[0].key)
     return [DuplicateCalculation(cells) for cells in groups]

@@ -36,3 +36,16 @@ def grades():
 @pytest.fixture(scope="session")
 def grades_pass():
     return load_fixture("grades-solution-only")
+
+
+def fill_down_cells(n: int, up: bool, first: object = 1) -> dict[str, object]:
+    """Cells A1..An, each one more than its neighbour above (`up`) or below.
+
+    The chain starts at A1 when references point up and at An when they
+    point down; that cell holds `first`.
+    """
+    cells: dict[str, object] = {}
+    for i in range(1, n + 1):
+        neighbour = i - 1 if up else i + 1
+        cells[f"A{i}"] = f"=A{neighbour}+1" if 1 <= neighbour <= n else first
+    return cells

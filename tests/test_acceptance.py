@@ -18,6 +18,7 @@ from sheetcheck import (
     Number,
     Status,
     TaskBundle,
+    analyze,
     build_graph,
     canonicalize,
     evaluate,
@@ -37,6 +38,7 @@ from sheetcheck import (
 from sheetcheck.cli import main
 from sheetcheck.fixtures import load_fixture
 
+import matching_oracle
 from conftest import addr, make_workbook, texts
 from genwb import GenConfig, WorkbookGen, mutate_one_formula
 from oracle_cases import ORACLE_CASES
@@ -57,7 +59,7 @@ def test_c01_feedback_catalog_golden():
     started = time.perf_counter()
     fixture = load_fixture("grades")
 
-    result = match_values(fixture.solution, fixture.submission)
+    result = match_values(analyze(fixture.solution), analyze(fixture.submission))
     assert texts(result.value_errors) == ["D3", "C6", "D6"]
     assert texts(result.formula_errors) == ["D3", "C6"]
 
@@ -92,7 +94,8 @@ def test_c01_feedback_catalog_golden():
 
 def test_c02_propagation_repair():
     fixture = load_fixture("grades")
-    result = match_values(fixture.solution, fixture.submission)
+    result = match_values(analyze(fixture.solution), analyze(fixture.submission))
+    assert result == matching_oracle.match_values(fixture.solution, fixture.submission)
     d6 = addr("D6")
 
     first = next(
@@ -178,7 +181,8 @@ def test_c04_error_injection_property():
         if values_equal(evaluate_ast(mutated_ast, solution_grid), solution_grid[mutated_cell]):
             continue
 
-        result = match_values(solution, submission)
+        result = match_values(analyze(solution), analyze(submission))
+        assert result == matching_oracle.match_values(solution, submission)
         graph_nodes = set(build_graph(solution, solution_grid).nodes)
         oracle = {
             node
@@ -204,7 +208,7 @@ def test_c05_idempotence_property():
     gen = WorkbookGen(rng, GenConfig(max_rows=8, max_cols=8, max_depth=3))
     for index in range(CORPUS_SIZE):
         workbook = gen.workbook(f"self-{index}")
-        result = match_values(workbook, workbook)
+        result = match_values(analyze(workbook), analyze(workbook))
         assert result.value_errors == (), f"workbook {index}"
         assert result.formula_errors == (), f"workbook {index}"
         bundle = TaskBundle(task=f"self-{index}", reference=workbook)

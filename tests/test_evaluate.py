@@ -17,7 +17,7 @@ from sheetcheck import (
 from sheetcheck.evaluate import DIV_ZERO, evaluate_ast, workbook_contents
 from sheetcheck.formulas import parse_formula
 
-from conftest import addr, make_workbook
+from conftest import addr, fill_down_cells, make_workbook
 from genwb import GenConfig, WorkbookGen
 from oracle_cases import ORACLE_CASES
 
@@ -200,3 +200,16 @@ def test_long_chain_first_error_wins():
     source = "=" + "+".join(["1"] * 2000 + ["1/0", "A1"] + ["1"] * 2000)
     values = {addr("A1"): CellError(ErrorKind.BAD_REF)}
     assert evaluate_ast(parse_formula(source), values) == DIV_ZERO
+
+
+@pytest.mark.parametrize("up", (True, False), ids=("up", "down"))
+def test_long_fill_down_chain_evaluates(up):
+    n = 10_000
+    grid = grid_of(fill_down_cells(n, up))
+    assert grid[addr(f"A{n}" if up else "A1")] == Number(float(n))
+
+
+def test_long_cycle_is_cycle_everywhere():
+    n = 10_000
+    grid = grid_of(fill_down_cells(n, False, first="=A1+1"))
+    assert set(grid.values()) == {CellError(ErrorKind.CYCLE)}

@@ -17,7 +17,7 @@ from sheetcheck import (
     render_text,
 )
 
-from conftest import addr, make_workbook
+from conftest import addr, fill_down_cells, make_workbook
 
 
 # ---------------------------------------------------------------- golden levels
@@ -360,3 +360,50 @@ def test_long_hand_written_sum_gets_a_report(level):
     report = generate_feedback(bundle, submission, level, force_quality=(level == 7))
     assert report.status is Status.FAIL
     assert [d.cell.text() for d in report.diagnoses] == ["B1", "B1"]
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_overflowing_literal_gets_a_report(grades, level):
+    from sheetcheck import Cell, Formula, Sheet, Workbook
+
+    sheet = grades.submission.sheets[0]
+    d3 = addr("D3")
+    cells = {**sheet.cells, d3: Cell(d3, Formula("=1e999"))}
+    submission = Workbook(grades.submission.name, (Sheet(sheet.name, cells),))
+    report = generate_feedback(grades.bundle, submission, level, force_quality=(level == 7))
+    assert report.status is Status.FAIL
+    assert addr("D3") in [d.cell for d in report.diagnoses]
+
+
+def test_deeply_nested_submission_gets_a_syntax_error_report(grades):
+    submission = make_workbook({"A1": 1, "B1": "=" + "(" * 150 + "A1" + ")" * 150})
+    report = generate_feedback(grades.bundle, submission, 3)
+    assert report.status is Status.SYNTAX_ERROR
+    assert list(report.messages) == ["Syntax error in cell B1: formula is nested too deeply"]
+
+
+def test_long_subtraction_chain_gets_a_report():
+    n = 5000
+    cells = {f"A{i}": i for i in range(1, n + 1)}
+    reference = make_workbook({**cells, "B1": "=" + "-".join(cells)})
+    swapped = make_workbook({**cells, "B1": "=" + "-".join(list(cells)[1:] + ["A1"])})
+    bundle = TaskBundle(task="long-difference", reference=reference).validate()
+    assert generate_feedback(bundle, reference, 6).status is Status.PASS
+    report = generate_feedback(bundle, swapped, 6)
+    assert report.status is Status.FAIL
+    assert [d.cell.text() for d in report.diagnoses] == ["B1", "B1"]
+
+
+@pytest.mark.parametrize("up", (True, False), ids=("up", "down"))
+def test_long_fill_down_chain_gets_a_report(up):
+    n = 10_000
+    start = "A1" if up else f"A{n}"
+    reference = make_workbook(fill_down_cells(n, up, 1))
+    bundle = TaskBundle(task="chain", reference=reference).validate()
+    submission = make_workbook(fill_down_cells(n, up, 2))
+    level3 = generate_feedback(bundle, submission, 3)
+    assert level3.status is Status.FAIL
+    assert list(level3.messages) == [f"The formulas of cells {start} are incorrect."]
+    assert len(level3.diagnoses) == n + 1
+    level6 = generate_feedback(bundle, submission, 6)
+    assert list(level6.messages) == [f"The constant '1' should be used in cell {start}."]

@@ -340,3 +340,54 @@ def test_canonical_large_range_stays_within_limits():
     assert len(references_of(canonical)) == 900
     assert evaluate_ast(canonical, {}).value == 0.0
     render_formula(canonical)
+
+
+# ---------------------------------------------------------------- depth limits
+
+
+def test_nesting_budget_allows_64_levels():
+    assert parse_formula("=" + "(" * 64 + "A1" + ")" * 64) == ref("A1")
+    calls = parse_formula("=" + "ABS(" * 64 + "A1" + ")" * 64)
+    signs = parse_formula("=" + "-" * 64 + "A1")
+    for _ in range(64):
+        calls, signs = calls.args[0], signs.operand
+    assert calls == signs == ref("A1")
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("=" + "(" * 150 + "A1" + ")" * 150, 65),
+        ("=" + "(" * 65 + "A1" + ")" * 65, 65),
+        ("=" + "SUM(" * 150 + "A1" + ")" * 150, 260),
+        ("=" + "-" * 1000 + "A1", 65),
+        ("=" + "^".join(["2"] * 1000), 130),
+    ],
+)
+def test_nesting_past_the_budget_is_a_syntax_error(source, position):
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply") as caught:
+        parse_formula(source)
+    assert caught.value.position == position
+    report = syntax_check(make_workbook({"A1": 1, "B1": source}))
+    assert [(issue.message, issue.position) for issue in report.errors] == [
+        ("formula is nested too deeply", position)
+    ]
+
+
+def _recursive_canonical(ast):
+    # the plain recursive definition of the non-chain Binary case
+    if isinstance(ast, Binary) and ast.op not in (BinOp.ADD, BinOp.MUL):
+        return Binary(ast.op, _recursive_canonical(ast.left), _recursive_canonical(ast.right))
+    return canonicalize(ast)
+
+
+@pytest.mark.parametrize("op", ["-", "/", "&", "<"])
+def test_canonical_long_left_deep_chain_keeps_its_shape(op):
+    terms = [f"A{i}" if i % 3 else f"(B{i}*2+SUM(C1:C3))" for i in range(1, 5001)]
+    prefix = parse_formula("=" + op.join(terms[:60]))
+    assert canonicalize(prefix) == _recursive_canonical(prefix)
+    canonical = canonicalize(parse_formula("=" + op.join(terms)))
+    depth = 0
+    while isinstance(canonical, Binary) and canonical.op.symbol == op:
+        canonical, depth = canonical.left, depth + 1
+    assert depth == 4999 and canonical == ref("A1")

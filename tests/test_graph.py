@@ -10,7 +10,7 @@ from sheetcheck import (
     references_of,
     terminals,
 )
-from conftest import addr, make_workbook, texts
+from conftest import addr, fill_down_cells, make_workbook, texts
 
 
 def graph_of(cells):
@@ -151,3 +151,12 @@ def test_dot_qualifies_nodes_across_sheets():
     wb = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*2"}})
     dot = export_dot(build_graph(wb, evaluate(wb)))
     assert '"Main!B1" -> "Data!A1";' in dot
+
+
+@pytest.mark.parametrize("up", (True, False), ids=("up", "down"))
+def test_longest_chain_of_a_long_fill_down_chain(up):
+    n = 10_000
+    assert longest_chain(graph_of(fill_down_cells(n, up))) == n - 1
+    closed = fill_down_cells(n, up, first=f"=A1+A{n}")
+    with pytest.raises(CycleError):
+        longest_chain(graph_of(closed))

@@ -1,4 +1,9 @@
+import importlib
+import json
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcheck import (
     BLANK,
@@ -6,23 +11,27 @@ from sheetcheck import (
     ComparePhase,
     ErrorKind,
     Number,
+    analyze,
     evaluate,
     match_values,
+    read_workbook,
     values_equal,
+    write_workbook,
 )
 
-from conftest import addr, make_workbook, texts
+import matching_oracle
+from conftest import addr, fill_down_cells, make_workbook, texts
 from genwb import WorkbookGen, mutate_one_formula
 
 
 def test_fixture_error_sets(grades):
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     assert texts(result.value_errors) == ["D3", "C6", "D6"]
     assert texts(result.formula_errors) == ["D3", "C6"]
 
 
 def test_self_match_is_clean(grades):
-    result = match_values(grades.solution, grades.solution)
+    result = match_values(analyze(grades.solution), analyze(grades.solution))
     assert result.value_errors == ()
     assert result.formula_errors == ()
 
@@ -35,7 +44,7 @@ def test_single_mutation_d4(grades):
         cells[cell.address.text()] = source if source else _raw(cell.content)
     cells.update(mutated)
     submission = make_workbook(cells)
-    result = match_values(grades.solution, submission)
+    result = match_values(analyze(grades.solution), analyze(submission))
     assert texts(result.value_errors) == ["D4", "D6"]
     assert texts(result.formula_errors) == ["D4"]
 
@@ -53,12 +62,12 @@ def _raw(content):
 
 
 def test_formula_errors_subset_of_value_errors(grades):
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     assert set(result.formula_errors) <= set(result.value_errors)
 
 
 def test_propagation_repair_trace(grades):
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     d6 = [t for t in result.trace if t.address == addr("D6")]
     first = next(t for t in d6 if t.phase is ComparePhase.FIRST_COMPARE)
     second = next(t for t in d6 if t.phase is ComparePhase.RE_EVALUATE)
@@ -71,13 +80,13 @@ def test_propagation_repair_trace(grades):
 
 
 def test_each_node_first_compared_once(grades):
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     first_compares = [t.address for t in result.trace if t.phase is ComparePhase.FIRST_COMPARE]
     assert len(first_compares) == len(set(first_compares)) == 12
 
 
 def test_corrected_copy_holds_solution_values(grades):
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     corrected_grid = evaluate(result.corrected)
     solution_grid = evaluate(grades.solution)
     for address in ("D3", "C6", "D6"):
@@ -89,7 +98,7 @@ def test_corrected_copy_holds_solution_values(grades):
 def test_missing_cell_is_value_and_formula_error():
     reference = make_workbook({"A1": 1, "B1": "=A1+1"})
     submission = make_workbook({"A1": 1})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert texts(result.value_errors) == ["B1"]
     assert texts(result.formula_errors) == ["B1"]
 
@@ -97,14 +106,14 @@ def test_missing_cell_is_value_and_formula_error():
 def test_constant_where_formula_expected():
     reference = make_workbook({"A1": 1, "B1": "=A1+1"})
     submission = make_workbook({"A1": 1, "B1": 7})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert texts(result.formula_errors) == ["B1"]
 
 
 def test_submission_cycle_is_formula_error_not_fatal():
     reference = make_workbook({"A1": 1, "B1": "=A1+1"})
     submission = make_workbook({"A1": 1, "B1": "=B1"})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert texts(result.value_errors) == ["B1"]
     assert texts(result.formula_errors) == ["B1"]
     re_eval = next(
@@ -118,7 +127,7 @@ def test_submission_cycle_is_formula_error_not_fatal():
 def test_wrong_constant_input_is_caught():
     reference = make_workbook({"A1": 2, "B1": "=A1*10"})
     submission = make_workbook({"A1": 3, "B1": "=A1*10"})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert texts(result.value_errors) == ["A1", "B1"]
     assert texts(result.formula_errors) == ["A1"]
 
@@ -127,7 +136,7 @@ def test_correct_value_from_cancellation_is_not_flagged():
     # submission: wrong input, wrong formula, accidentally right output
     reference = make_workbook({"A1": 1, "B1": "=A1+1"})
     submission = make_workbook({"A1": 2, "B1": "=A1"})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert texts(result.value_errors) == ["A1"]
     assert texts(result.formula_errors) == ["A1"]
     assert addr("B1") not in result.value_errors
@@ -137,7 +146,7 @@ def test_helper_cells_feed_reevaluation():
     reference = make_workbook({"A1": 2, "B1": "=A1*2"})
     # submission computes the same value through an extra helper cell
     submission = make_workbook({"A1": 2, "B1": "=C1+A1", "C1": "=A1"})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert result.value_errors == ()
     assert result.formula_errors == ()
 
@@ -145,11 +154,11 @@ def test_helper_cells_feed_reevaluation():
 def test_graded_subset_restricts_reports():
     reference = make_workbook({"A1": 1, "B1": "=A1+1", "A2": 5, "B2": "=A2*2"})
     submission = make_workbook({"A1": 1, "B1": "=A1+1", "A2": 6, "B2": "=A2*3"})
-    full = match_values(reference, submission)
+    full = match_values(analyze(reference), analyze(submission))
     assert texts(full.value_errors) == ["A2", "B2"]
-    restricted = match_values(reference, submission, graded={addr("B1")})
+    restricted = match_values(analyze(reference), analyze(submission), graded={addr("B1")})
     assert restricted.value_errors == ()
-    restricted_b2 = match_values(reference, submission, graded={addr("B2")})
+    restricted_b2 = match_values(analyze(reference), analyze(submission), graded={addr("B2")})
     assert texts(restricted_b2.value_errors) == ["A2", "B2"]
 
 
@@ -160,8 +169,8 @@ def test_determinism_under_insertion_order(grades):
             cell.content.source if cell.is_formula else _raw(cell.content)
         )
     shuffled = make_workbook(dict(reversed(list(cells.items()))))
-    a = match_values(grades.solution, grades.submission)
-    b = match_values(grades.solution, shuffled)
+    a = match_values(analyze(grades.solution), analyze(grades.submission))
+    b = match_values(analyze(grades.solution), analyze(shuffled))
     assert a.value_errors == b.value_errors
     assert a.formula_errors == b.formula_errors
     assert a.trace == b.trace
@@ -172,7 +181,7 @@ def test_randomized_self_match_is_clean():
     gen = WorkbookGen(rng)
     for _ in range(40):
         workbook = gen.workbook()
-        result = match_values(workbook, workbook)
+        result = match_values(analyze(workbook), analyze(workbook))
         assert result.value_errors == ()
         assert result.formula_errors == ()
 
@@ -197,7 +206,7 @@ def test_randomized_single_mutation_localized():
 
         if values_equal(evaluate_ast(mutated_ast, solution_grid), solution_grid[mutated_cell]):
             continue
-        result = match_values(solution, submission)
+        result = match_values(analyze(solution), analyze(submission))
         oracle = {
             node
             for node in solution_grid
@@ -220,7 +229,7 @@ def test_formula_error_soundness(grades):
     from sheetcheck import evaluate_ast, parse_formula
 
     solution_grid = evaluate(grades.solution)
-    result = match_values(grades.solution, grades.submission)
+    result = match_values(analyze(grades.solution), analyze(grades.submission))
     for address in result.formula_errors:
         cell = grades.submission.cell(address)
         value = evaluate_ast(parse_formula(cell.content.source, address.sheet), solution_grid)
@@ -232,7 +241,7 @@ def test_cross_sheet_matching():
 
     reference = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*2"}})
     submission = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*3"}})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     assert [a.text(qualified=True) for a in result.value_errors] == ["Main!B1"]
     assert [a.text(qualified=True) for a in result.formula_errors] == ["Main!B1"]
 
@@ -242,7 +251,7 @@ def test_missing_sheet_in_submission():
 
     reference = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*2"}})
     submission = make_multi_workbook({"Main": {"B1": "=Data!A1*2"}})
-    result = match_values(reference, submission)
+    result = match_values(analyze(reference), analyze(submission))
     # Data!A1 is blank-vs-10 and B1 reads a missing sheet; after the input
     # is corrected the same formula yields the solution value
     assert [a.text(qualified=True) for a in result.value_errors] == ["Data!A1", "Main!B1"]
@@ -254,7 +263,7 @@ def test_randomized_visited_set_economy():
     gen = WorkbookGen(rng)
     for _ in range(30):
         workbook = gen.workbook()
-        result = match_values(workbook, workbook)
+        result = match_values(analyze(workbook), analyze(workbook))
         first_compares = [
             t.address for t in result.trace if t.phase is ComparePhase.FIRST_COMPARE
         ]
@@ -275,7 +284,7 @@ def test_randomized_corrected_copy_matches_solution():
         if mutation is None:
             continue
         submission, _, _ = mutation
-        result = match_values(solution, submission)
+        result = match_values(analyze(solution), analyze(submission))
         solution_grid = evaluate(solution)
         corrected_grid = evaluate(result.corrected)
         for node in build_graph(solution, solution_grid).nodes:
@@ -283,3 +292,118 @@ def test_randomized_corrected_copy_matches_solution():
                 corrected_grid.get(node, BLANK), solution_grid.get(node, BLANK)
             ), node
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Equality with the fresh-memo reference implementation
+# ---------------------------------------------------------------------------
+
+
+def _plus(content, term):
+    """Formula text that adds `term` to a cell's formula or constant."""
+    body = content[1:] if isinstance(content, str) else repr(content)
+    return f"=({body})+{term}"
+
+
+_EDITS = ("cycle", "self_reference", "missing_sheet", "bad_ref_cycle", "constant", "drop_sheet")
+
+
+@st.composite
+def matching_cases(draw):
+    """(reference, submission, graded) over genwb shapes.
+
+    The reference may gain a second sheet that its formulas reference.  The
+    submission starts from the reference, perhaps with one formula mutated,
+    and takes up to three edits that add cycles, references to a missing
+    sheet, changed constants or drop the second sheet.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sheets = json.loads(write_workbook(WorkbookGen(rng).workbook("reference")))["sheets"]
+    names = list(sheets[0]["cells"])
+    if draw(st.booleans()):
+        sheets.append({"name": "Data", "cells": {"A1": 3, "A2": -4.5, "B1": "=A1*A2"}})
+        cells = sheets[0]["cells"]
+        for name in names:
+            if isinstance(cells[name], str) and rng.random() < 0.5:
+                cells[name] = _plus(cells[name], rng.choice(["Data!A1", "Data!A2", "Data!B1"]))
+    reference = read_workbook(json.dumps({"name": "reference", "sheets": sheets}))
+
+    mutation = mutate_one_formula(rng, reference) if draw(st.booleans()) else None
+    first = write_workbook(mutation[0]) if mutation else write_workbook(reference)
+    submission = json.loads(first)["sheets"][:1] + json.loads(json.dumps(sheets[1:]))
+    cells = submission[0]["cells"]
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        target = rng.choice(names)
+        if edit == "cycle":
+            later = names[names.index(target):]
+            cells[target] = f"={rng.choice(later)}+{rng.choice(names)}"
+        elif edit == "self_reference":
+            cells[target] = f"={target}*2"
+        elif edit == "missing_sheet":
+            cells[target] = _plus(cells.get(target, 0), "Nowhere!A1")
+        elif edit == "bad_ref_cycle":
+            other = rng.choice(names)
+            cells[target] = f"=Nowhere!X1+{other}"
+            if other != target:
+                cells[other] = f"={target}"
+        elif edit == "constant":
+            cells[target] = round(rng.uniform(-10, 10), 2)
+        elif len(submission) > 1:
+            submission.pop()
+
+    graded = None
+    if draw(st.booleans()):
+        graded = {addr(name) for name in rng.sample(names, rng.randint(1, len(names)))}
+    return reference, read_workbook(json.dumps({"name": "submission", "sheets": submission})), graded
+
+
+@settings(max_examples=200, deadline=None)
+@given(matching_cases())
+def test_match_values_equals_fresh_memo_oracle(case):
+    reference, submission, graded = case
+    analysis = analyze(submission)
+    assert analysis.grid == matching_oracle.evaluate(submission)
+    expected = matching_oracle.match_values(reference, submission, graded=graded)
+    assert match_values(analyze(reference), analysis, graded=graded) == expected
+
+
+def test_cycle_cells_are_re_evaluated_from_a_fresh_memo():
+    # In grid order B1 reads CYCLE; evaluated from B1 itself, A1 meets the
+    # missing sheet first and B1 reads BAD_REF.
+    reference = make_workbook({"A1": 1, "B1": 7})
+    submission = make_workbook({"A1": "=Nowhere!X1+B1", "B1": "=A1"})
+    result = match_values(analyze(reference), analyze(submission), graded={addr("B1")})
+    assert [t.submission for t in result.trace] == [
+        CellError(ErrorKind.CYCLE),
+        CellError(ErrorKind.BAD_REF),
+    ]
+    assert result == matching_oracle.match_values(reference, submission, graded={addr("B1")})
+
+
+def _formula_evaluations(monkeypatch, reference, submission):
+    """AST nodes evaluated by match_values alone, analyses excluded."""
+    evaluation = importlib.import_module("sheetcheck.evaluate")
+    reference, submission = analyze(reference), analyze(submission)
+    submission.graph, reference.graph  # noqa: B018 - built before counting
+    calls = 0
+    plain = evaluation._eval
+
+    def counted(node, resolve):
+        nonlocal calls
+        calls += 1
+        return plain(node, resolve)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "_eval", counted)
+        match_values(reference, submission)
+    return calls
+
+
+@pytest.mark.parametrize("n", (1000, 2000))
+def test_matching_a_chain_evaluates_each_formula_at_most_once(monkeypatch, n):
+    reference = make_workbook(fill_down_cells(n, True, 1))
+    assert _formula_evaluations(monkeypatch, reference, reference) == 0
+    # a wrong first cell invalidates the whole chain once: n - 1 formulas
+    # of three nodes each are evaluated again
+    wrong_start = make_workbook(fill_down_cells(n, True, 2))
+    assert _formula_evaluations(monkeypatch, reference, wrong_start) == 3 * (n - 1)
