@@ -3,7 +3,7 @@
 Subcommands: check (grade one submission), batch (grade a directory),
 validate (syntax check only), metrics (quality metrics as JSON) and graph
 (dependency graph as DOT).  Exit codes: 0 pass, 1 fail, 2 syntax error in
-the submission, 3 usage, configuration or I/O error.
+the submission, 3 usage, configuration, I/O or internal error.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         try:
             submission = read_workbook(path.read_text(encoding="utf-8"))
             report = generate_feedback(bundle, submission, args.level, args.force_quality)
-        except (OSError, ValueError) as exc:
+        except Exception as exc:  # one bad file must not stop the batch
             writer.writerow([path.name, "error", "", ""])
             out_lines.append(json.dumps({"file": path.name, "error": str(exc)}, ensure_ascii=False))
             continue
@@ -189,14 +189,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # format, configuration and capacity errors
+    except (OSError, ValueError) as exc:  # I/O, format, configuration and capacity errors
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the engine must not read as "fail"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

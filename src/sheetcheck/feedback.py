@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .diffing import ErrorCategory, ErrorDetail, diff_formula
 from .evaluate import DEFAULT_TOLERANCE, CYCLE, Tolerance, evaluate
-from .formulas import SyntaxReport, syntax_check
+from .formulas import FormulaAst, SyntaxReport, parse_formula, syntax_check
 from .graph import DependencyGraph, build_graph
 from .grid import (
     BLANK,
@@ -43,6 +43,7 @@ from .quality import (
     QualityConfig,
     QualityFinding,
     QualityMetrics,
+    canonical_forms,
     compare_metrics,
     compute_metrics,
     duplicate_calculations,
@@ -60,11 +61,13 @@ class TaskConfigError(ValueError):
 
 
 class WorkbookAnalysis:
-    """A syntax-checked workbook with its grid, graph and quality metrics.
+    """A syntax-checked workbook with its formulas, grid, graph and quality metrics.
 
-    The grid is evaluated when the analysis is made; the dependency graph
-    and the metrics are computed on first use and kept.  The reference of
-    a task bundle is analysed once per bundle, a submission once per report.
+    `formulas` maps each formula cell, row-major, to its parsed AST and
+    `canonical` to its canonical form; the graph, metrics and quality checks
+    read formulas only from here.  The grid is evaluated when the analysis
+    is made, the rest on first use.  The reference of a task bundle is
+    analysed once per bundle, a submission once per report.
     """
 
     def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value]):
@@ -72,12 +75,23 @@ class WorkbookAnalysis:
         self.grid = grid
 
     @cached_property
+    def formulas(self) -> dict[CellAddress, FormulaAst]:
+        return {
+            cell.address: parse_formula(cell.content.source, cell.address.sheet)
+            for cell in self.workbook.formula_cells()
+        }
+
+    @cached_property
+    def canonical(self) -> dict[CellAddress, FormulaAst]:
+        return canonical_forms(self.formulas)
+
+    @cached_property
     def graph(self) -> DependencyGraph:
-        return build_graph(self.workbook, self.grid)
+        return build_graph(self)
 
     @cached_property
     def metrics(self) -> QualityMetrics:
-        return compute_metrics(self.workbook, self.graph, self.grid)
+        return compute_metrics(self)
 
 
 def analyze(workbook: Workbook) -> WorkbookAnalysis:
@@ -535,8 +549,8 @@ def generate_feedback(
 
     reference_metrics = bundle.reference_analysis.metrics
     findings: tuple[QualityFinding, ...] = tuple(
-        idiom_suggestions(submission, bundle.quality)
-        + duplicate_calculations(submission)
+        idiom_suggestions(analysis, bundle.quality)
+        + duplicate_calculations(analysis)
         + compare_metrics(analysis.metrics, reference_metrics, bundle.quality)
     )
 

@@ -149,11 +149,11 @@ def range_size(ref: RangeRef) -> int:
     return cols * rows
 
 
-def range_addresses(ref: RangeRef, limit: int = DEFAULT_RANGE_LIMIT) -> list[CellAddress]:
+def range_addresses(ref: RangeRef) -> list[CellAddress]:
     """Expand a range to its member addresses, row-major."""
-    if range_size(ref) > limit:
+    if range_size(ref) > DEFAULT_RANGE_LIMIT:
         raise RangeCapacityError(
-            f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {limit}"
+            f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {DEFAULT_RANGE_LIMIT}"
         )
     sheet = ref.start.address.sheet
     return [
@@ -481,7 +481,7 @@ def walk_ast(ast: FormulaAst) -> Iterator[FormulaAst]:
             stack.extend(reversed(node.args))
 
 
-def references_of(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> tuple[CellAddress, ...]:
+def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
     """All cell addresses a formula references, deduplicated, row-major.
 
     Ranges expand to individual addresses; absoluteness flags are dropped.
@@ -491,7 +491,7 @@ def references_of(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> tuple[Ce
         if isinstance(node, CellRef):
             addresses.add(node.address)
         elif isinstance(node, RangeRef):
-            addresses.update(range_addresses(node, limit))
+            addresses.update(range_addresses(node))
     return row_major(addresses)
 
 
@@ -502,24 +502,41 @@ def references_of(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> tuple[Ce
 _CHAIN_OPS = (BinOp.ADD, BinOp.MUL)
 
 
-def _node_key(node: FormulaAst) -> tuple:
-    """Deterministic total order: references row-major, then literals by value."""
-    if isinstance(node, CellRef):
-        a = node.address
-        return (0, a.sheet, a.row, a.col, node.col_absolute, node.row_absolute)
-    if isinstance(node, NumberLit):
-        return (1, node.value)
-    if isinstance(node, TextLit):
-        return (2, node.text)
-    if isinstance(node, BoolLit):
-        return (3, node.value)
-    if isinstance(node, RangeRef):
-        return (4, _node_key(node.start), _node_key(node.end))
-    if isinstance(node, Unary):
-        return (5, node.op.name, _node_key(node.operand))
-    if isinstance(node, Binary):
-        return (6, node.op.name, _node_key(node.left), _node_key(node.right))
-    return (7, node.name, tuple(_node_key(a) for a in node.args))
+def node_key(node: FormulaAst) -> tuple:
+    """Deterministic total order: references row-major, then literals by value.
+
+    The key lists node labels in pre-order; a marker that sorts first closes
+    each function's arguments, so keys order ASTs node by node and equal keys
+    mean equal ASTs.  It is built, compared and hashed without recursion.
+    """
+    key: list[object] = []
+    stack: list[FormulaAst | None] = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, CellRef):
+            a = node.address
+            key += (0, a.sheet, a.row, a.col, node.col_absolute, node.row_absolute)
+        elif isinstance(node, NumberLit):
+            key += (1, node.value)
+        elif isinstance(node, TextLit):
+            key += (2, node.text)
+        elif isinstance(node, BoolLit):
+            key += (3, node.value)
+        elif isinstance(node, RangeRef):
+            key.append(4)
+            stack += (node.end, node.start)
+        elif isinstance(node, Unary):
+            key += (5, node.op.name)
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            key += (6, node.op.name)
+            stack += (node.right, node.left)
+        elif isinstance(node, FuncCall):
+            key += (7, node.name)
+            stack += (None, *reversed(node.args))  # None closes the argument list
+        else:
+            key.append(-1)
+    return tuple(key)
 
 
 def chain_operands(node: FormulaAst, op: BinOp) -> list[FormulaAst]:
@@ -555,24 +572,24 @@ def _canonical_chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
     flat: list[FormulaAst] = []
     for operand in operands:
         flat.extend(chain_operands(operand, op))
-    flat.sort(key=_node_key)
+    flat.sort(key=node_key)
     return _chain(flat, op)
 
 
-def _expand_operands(args: tuple[FormulaAst, ...], limit: int) -> list[FormulaAst]:
+def _expand_operands(args: tuple[FormulaAst, ...]) -> list[FormulaAst]:
     operands: list[FormulaAst] = []
     for arg in args:
         if isinstance(arg, RangeRef):
             operands.extend(
                 CellRef(a, arg.start.col_absolute, arg.start.row_absolute)
-                for a in range_addresses(arg, limit)
+                for a in range_addresses(arg)
             )
         else:
             operands.append(arg)
     return operands
 
 
-def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAst:
+def canonicalize(ast: FormulaAst) -> FormulaAst:
     """Rewrite an AST to its canonical comparison form.
 
     SUM and AVG calls expand to explicit chains (AVG divides by the static
@@ -584,7 +601,7 @@ def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAs
     result is its own canonical form; chains are built as balanced trees.
     """
     if isinstance(ast, Unary):
-        operand = canonicalize(ast.operand, limit)
+        operand = canonicalize(ast.operand)
         if ast.op is UnaryOp.NEG and isinstance(operand, Unary) and operand.op is UnaryOp.NEG:
             return operand.operand
         return Unary(ast.op, operand)
@@ -592,7 +609,7 @@ def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAs
         if ast.op in _CHAIN_OPS:
             # The chain's operands come off the input tree without recursing
             # along it, so a left-deep n-term chain costs one sort, not n.
-            operands = [canonicalize(operand, limit) for operand in chain_operands(ast, ast.op)]
+            operands = [canonicalize(operand) for operand in chain_operands(ast, ast.op)]
             return _canonical_chain(operands, ast.op)
         # Other chains such as A1-A2-...-An stay left-deep: fold the left
         # spine in a loop instead of recursing down it.
@@ -600,14 +617,14 @@ def canonicalize(ast: FormulaAst, limit: int = DEFAULT_RANGE_LIMIT) -> FormulaAs
         while isinstance(ast, Binary) and ast.op not in _CHAIN_OPS:
             spine.append(ast)
             ast = ast.left
-        node = canonicalize(ast, limit)
+        node = canonicalize(ast)
         for parent in reversed(spine):
-            node = Binary(parent.op, node, canonicalize(parent.right, limit))
+            node = Binary(parent.op, node, canonicalize(parent.right))
         return node
     if isinstance(ast, FuncCall):
-        args = tuple(canonicalize(arg, limit) for arg in ast.args)
+        args = tuple(canonicalize(arg) for arg in ast.args)
         if ast.name in ("SUM", "AVG"):
-            operands = _expand_operands(args, limit)
+            operands = _expand_operands(args)
             total = _canonical_chain(operands, BinOp.ADD)
             if ast.name == "SUM":
                 return total

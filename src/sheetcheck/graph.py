@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
-from .formulas import parse_formula, references_of
-from .grid import BLANK, CellAddress, Formula, Number, Value, Workbook, format_value, row_major
+from .formulas import references_of
+from .grid import BLANK, CellAddress, Number, Value, format_value, row_major
+
+if TYPE_CHECKING:
+    from .feedback import WorkbookAnalysis
 
 
 class CycleError(ValueError):
@@ -60,29 +63,28 @@ class DependencyGraph:
         return tuple(order)
 
 
-def build_graph(workbook: Workbook, grid: Mapping[CellAddress, Value]) -> DependencyGraph:
-    """Build the dependency graph of a workbook annotated with `grid` values.
+def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
+    """Build the dependency graph of an analysed workbook, annotated with its grid values.
 
-    `grid` must be the evaluation of the workbook.  References to absent
-    cells create nodes annotated Blank; references to nonexistent sheets
-    create nodes annotated BAD_REF.
+    The edges come from the analysis's parsed formulas.  References to
+    absent cells create nodes annotated Blank; references to nonexistent
+    sheets create nodes annotated BAD_REF.
     """
-    sheet_names = set(workbook.sheet_names())
+    sheet_names = set(analysis.workbook.sheet_names())
     nodes: set[CellAddress] = set()
     out_edges: dict[CellAddress, tuple[CellAddress, ...]] = {}
     targets: dict[CellAddress, list[CellAddress]] = {}
-    for cell in workbook.iter_cells():
-        if not isinstance(cell.content, Formula):
-            continue
-        refs = references_of(parse_formula(cell.content.source, cell.address.sheet))
-        nodes.add(cell.address)
+    for address, ast in analysis.formulas.items():
+        refs = references_of(ast)
+        nodes.add(address)
         nodes.update(refs)
-        out_edges[cell.address] = refs
+        out_edges[address] = refs
         for ref in refs:
-            targets.setdefault(ref, []).append(cell.address)
+            targets.setdefault(ref, []).append(address)
     in_edges = {node: row_major(sources) for node, sources in targets.items()}
     values = {
-        node: grid.get(node, BLANK if node.sheet in sheet_names else BAD_REF) for node in nodes
+        node: analysis.grid.get(node, BLANK if node.sheet in sheet_names else BAD_REF)
+        for node in nodes
     }
     return DependencyGraph(row_major(nodes), values, out_edges, in_edges)
 

@@ -11,7 +11,7 @@ per-metric overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .formulas import (
     Binary,
@@ -23,16 +23,18 @@ from .formulas import (
     NumberLit,
     RangeRef,
     TextLit,
-    Unary,
     canonicalize,
     chain_operands,
     child_nodes,
-    parse_formula,
+    node_key,
     range_size,
     walk_ast,
 )
-from .graph import CycleError, DependencyGraph, longest_chain, terminals
-from .grid import CellAddress, CellError, Formula, Value, Workbook, row_major
+from .graph import CycleError, longest_chain, terminals
+from .grid import CellAddress, CellError, row_major
+
+if TYPE_CHECKING:
+    from .feedback import WorkbookAnalysis
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,15 @@ QualityFinding = MetricExceeded | IdiomSuggestion | DuplicateCalculation
 # --------------------------------------------------------------------------
 
 
-def _operator_operand_counts(ast: FormulaAst) -> tuple[int, int]:
-    operators = 0
-    operands = 0
-    for node in walk_ast(ast):
+def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
+    """Operators, operands and nesting depth of one formula, in one walk.
+
+    The depth is the most binary operators and function calls on one path.
+    """
+    operators = operands = deepest = 0
+    stack = [(ast, 0)]
+    while stack:
+        node, depth = stack.pop()
         if isinstance(node, (NumberLit, TextLit, BoolLit, CellRef)):
             operands += 1
         elif isinstance(node, RangeRef):
@@ -118,20 +125,11 @@ def _operator_operand_counts(ast: FormulaAst) -> tuple[int, int]:
             operands += range_size(node)
         else:
             operators += 1  # a unary or binary operator, or a function application
-    return operators, operands
-
-
-def _nesting_depth(ast: FormulaAst) -> int:
-    """Most binary operators and function calls on one root-to-node path."""
-    deepest = 0
-    stack = [(ast, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, (Binary, FuncCall)):
-            depth += 1
-            deepest = max(deepest, depth)
-        stack.extend((child, depth) for child in child_nodes(node))
-    return deepest
+            if isinstance(node, (Binary, FuncCall)):
+                depth += 1
+                deepest = max(deepest, depth)
+            stack.extend((child, depth) for child in child_nodes(node))
+    return operators, operands, deepest
 
 
 def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
@@ -143,26 +141,10 @@ def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
     return best
 
 
-def compute_metrics(
-    workbook: Workbook, graph: DependencyGraph, grid: Mapping[CellAddress, Value]
-) -> QualityMetrics:
-    """Collect the metric set for one workbook (already syntax-checked)."""
-    value_cells = 0
-    formula_cells = 0
-    operator_total = 0
-    operand_total = 0
-    nesting = 0
-    for cell in workbook.iter_cells():
-        if isinstance(cell.content, Formula):
-            formula_cells += 1
-            ast = parse_formula(cell.content.source, cell.address.sheet)
-            operators, operands = _operator_operand_counts(ast)
-            operator_total += operators
-            operand_total += operands
-            nesting = max(nesting, _nesting_depth(ast))
-        else:
-            value_cells += 1
-
+def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
+    """Collect the metric set of an analysed workbook."""
+    counts = [_formula_counts(ast) for ast in analysis.formulas.values()]
+    workbook, graph = analysis.workbook, analysis.graph
     outputs, inputs = terminals(graph)
     try:
         chain = longest_chain(graph)
@@ -174,16 +156,16 @@ def compute_metrics(
 
     return QualityMetrics(
         sheet_count=len(workbook.sheets),
-        error_value_count=sum(1 for value in grid.values() if isinstance(value, CellError)),
-        value_cell_count=value_cells,
-        formula_cell_count=formula_cells,
+        error_value_count=sum(1 for value in analysis.grid.values() if isinstance(value, CellError)),
+        value_cell_count=sum(len(sheet.cells) for sheet in workbook.sheets) - len(analysis.formulas),
+        formula_cell_count=len(analysis.formulas),
         input_count=len(inputs),
         output_count=len(outputs),
         max_fan_in=_max_fan(fan_in),
         max_fan_out=_max_fan(fan_out),
-        operator_total=operator_total,
-        operand_total=operand_total,
-        max_nesting_depth=nesting,
+        operator_total=sum(operators for operators, _, _ in counts),
+        operand_total=sum(operands for _, operands, _ in counts),
+        max_nesting_depth=max((depth for _, _, depth in counts), default=0),
         longest_chain=chain,
     )
 
@@ -244,28 +226,31 @@ def _add_chains(ast: FormulaAst) -> list[list[FormulaAst]]:
     return chains
 
 
-def idiom_suggestions(workbook: Workbook, config: QualityConfig) -> list[QualityFinding]:
+def canonical_forms(formulas: Mapping[CellAddress, FormulaAst]) -> dict[CellAddress, FormulaAst]:
+    """The canonical form of each formula, in the same order."""
+    return {address: canonicalize(ast) for address, ast in formulas.items()}
+
+
+def idiom_suggestions(analysis: WorkbookAnalysis, config: QualityConfig) -> list[QualityFinding]:
     """Suggest AVG for written-out averages and SUM for long addition chains.
 
-    Detection runs on the canonical form; a cell whose original formula
-    already uses the suggested function is never flagged.  The check is
-    value-agnostic: a wrong formula can still earn a suggestion.
+    Detection runs on the analysis's canonical forms; a cell whose parsed
+    formula already uses the suggested function is never flagged.  The
+    check is value-agnostic: a wrong formula can still earn a suggestion.
     """
     by_function: dict[str, list[CellAddress]] = {}
-    for cell in workbook.formula_cells():
-        original = parse_formula(cell.content.source, cell.address.sheet)
-        canonical = canonicalize(original)
-
+    for address, canonical in analysis.canonical.items():
+        original = analysis.formulas[address]
         avg_operands = _avg_pattern_operands(canonical)
         if avg_operands is not None and avg_operands >= config.min_idiom_operands:
             if not _mentions_function(original, "AVG"):
-                by_function.setdefault("AVG", []).append(cell.address)
+                by_function.setdefault("AVG", []).append(address)
             continue
 
         for chain in _add_chains(canonical):
             refs = {op.address for op in chain if isinstance(op, CellRef)}
             if len(refs) > config.min_idiom_operands and not _mentions_function(original, "SUM"):
-                by_function.setdefault("SUM", []).append(cell.address)
+                by_function.setdefault("SUM", []).append(address)
                 break
 
     return [
@@ -273,33 +258,15 @@ def idiom_suggestions(workbook: Workbook, config: QualityConfig) -> list[Quality
     ]
 
 
-def _flat_form(ast: FormulaAst) -> tuple:
-    """The AST as a pre-order tuple of node labels, equal exactly when the ASTs are.
-
-    Hashing a left-deep chain of thousands of terms as nested nodes would
-    recurse once per term; the flat tuple hashes without recursing.
-    """
-    labels: list[object] = []
-    for node in walk_ast(ast):
-        if isinstance(node, (Binary, Unary)):
-            labels.append(node.op)
-        elif isinstance(node, FuncCall):
-            labels.append((node.name, len(node.args)))
-        else:
-            labels.append(node)
-    return tuple(labels)
-
-
-def duplicate_calculations(workbook: Workbook) -> list[QualityFinding]:
+def duplicate_calculations(analysis: WorkbookAnalysis) -> list[QualityFinding]:
     """Groups of cells whose canonical formulas are identical, targets included.
 
     Offset copies produced by fill-down reference different cells and do
     not match.
     """
     by_form: dict[tuple, list[CellAddress]] = {}
-    for cell in workbook.formula_cells():
-        canonical = canonicalize(parse_formula(cell.content.source, cell.address.sheet))
-        by_form.setdefault(_flat_form(canonical), []).append(cell.address)
+    for address, canonical in analysis.canonical.items():
+        by_form.setdefault(node_key(canonical), []).append(address)
     groups = [row_major(cells) for cells in by_form.values() if len(cells) >= 2]
     groups.sort(key=lambda cells: cells[0].key)
     return [DuplicateCalculation(cells) for cells in groups]

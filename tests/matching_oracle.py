@@ -9,7 +9,15 @@ workbooks only; `sheetcheck.match_values` must return an equal result.
 
 from __future__ import annotations
 
-from sheetcheck import BLANK, DEFAULT_TOLERANCE, build_graph, row_major, terminals, values_equal
+from sheetcheck import (
+    BLANK,
+    DEFAULT_TOLERANCE,
+    WorkbookAnalysis,
+    build_graph,
+    row_major,
+    terminals,
+    values_equal,
+)
 from sheetcheck.evaluate import BAD_REF, CYCLE, _eval, workbook_contents
 from sheetcheck.grid import VALUE_TYPES
 from sheetcheck.matching import ComparePhase, MatchResult, TraceEntry, _apply_replacements
@@ -52,7 +60,7 @@ def evaluate(workbook):
 def match_values(reference, submission, tolerance=DEFAULT_TOLERANCE, graded=None):
     """Fresh-memo matching of two workbooks; same contract as the engine's."""
     reference_grid = evaluate(reference)
-    reference_graph = build_graph(reference, reference_grid)
+    reference_graph = build_graph(WorkbookAnalysis(reference, reference_grid))
     submission_grid = evaluate(submission)
 
     working = workbook_contents(submission)

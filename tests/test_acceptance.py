@@ -121,8 +121,7 @@ def test_c02_propagation_repair():
 
 def test_c03_graph_structure():
     fixture = load_fixture("grades")
-    grid = evaluate(fixture.solution)
-    graph = build_graph(fixture.solution, grid)
+    graph = build_graph(analyze(fixture.solution))
 
     outputs, inputs = terminals(graph)
     assert texts(outputs) == ["B6", "C6", "D6"]
@@ -146,7 +145,7 @@ def test_c03_graph_structure():
     node_lines = [line for line in dot.splitlines() if "label=" in line]
     assert len(node_lines) == 12
     assert '"D6" [label="D6: 74.33", style=filled, fillcolor=red];' in dot
-    assert dot == export_dot(build_graph(fixture.solution, evaluate(fixture.solution)))
+    assert dot == export_dot(build_graph(analyze(fixture.solution)))
     print("criterion 3 (dependency graph structure and DOT export): PASS")
 
 
@@ -183,7 +182,7 @@ def test_c04_error_injection_property():
 
         result = match_values(analyze(solution), analyze(submission))
         assert result == matching_oracle.match_values(solution, submission)
-        graph_nodes = set(build_graph(solution, solution_grid).nodes)
+        graph_nodes = set(build_graph(analyze(solution)).nodes)
         oracle = {
             node
             for node in graph_nodes

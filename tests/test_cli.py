@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sheetcheck import write_workbook
+from sheetcheck import cli, write_workbook
 from sheetcheck.cli import main
 from sheetcheck.fixtures import load_fixture
 
@@ -149,6 +149,41 @@ def test_batch_corrupt_file_isolated(workspace, capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[1].startswith("a_corrupt.wb,error")
     assert lines[2] == "b_good.wb,pass,0,0"
+
+
+def test_batch_internal_error_becomes_error_row(workspace, capsys, tmp_path, monkeypatch):
+    real = cli.generate_feedback
+
+    def fails_on_boom(bundle, submission, *args):
+        if submission.name == "boom":
+            raise RuntimeError("engine fault")
+        return real(bundle, submission, *args)
+
+    monkeypatch.setattr(cli, "generate_feedback", fails_on_boom)
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    boom = json.loads((workspace / "submission.json").read_text())
+    boom["name"] = "boom"
+    (subs / "a_boom.wb").write_text(json.dumps(boom))
+    (subs / "b_good.wb").write_text((workspace / "solution.json").read_text())
+    out_file = tmp_path / "out.jsonl"
+    code, out, _ = run(capsys, "batch", workspace / "task.json", subs, "--out", out_file)
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["a_boom.wb,error,,", "b_good.wb,pass,0,0"]
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert records[0] == {"file": "a_boom.wb", "error": "engine fault"}
+    assert records[1]["report"]["status"] == "pass"
+
+
+def test_internal_error_exits_three_with_one_line(workspace, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "generate_feedback", broken)
+    code, out, err = run(capsys, "check", workspace / "task.json", workspace / "submission.json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: engine fault\n"
 
 
 def test_validate_clean(workspace, capsys):

@@ -30,6 +30,28 @@ def test_fixture_messages_per_level(grades, level):
     assert report.status is Status.FAIL
 
 
+def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch):
+    from collections import Counter
+
+    import sheetcheck.quality as quality
+    from sheetcheck import parse_formula
+
+    calls = Counter()
+    canonicalize = quality.canonicalize
+
+    def counting(ast):
+        calls[ast] += 1
+        return canonicalize(ast)
+
+    monkeypatch.setattr(quality, "canonicalize", counting)
+    generate_feedback(grades.bundle, grades.submission, 7, force_quality=True)
+    formulas = Counter(
+        parse_formula(cell.content.source, cell.address.sheet)
+        for cell in grades.submission.formula_cells()
+    )
+    assert len(formulas) > 1 and calls == formulas
+
+
 def test_pass_path_level_1(grades):
     report = generate_feedback(grades.bundle, grades.solution, 1)
     assert report.status is Status.PASS
@@ -360,6 +382,23 @@ def test_long_hand_written_sum_gets_a_report(level):
     report = generate_feedback(bundle, submission, level, force_quality=(level == 7))
     assert report.status is Status.FAIL
     assert [d.cell.text() for d in report.diagnoses] == ["B1", "B1"]
+
+
+@pytest.mark.parametrize("level", (6, 7))
+def test_long_difference_inside_a_sum_gets_a_report(level):
+    n = 5000
+    cells = {f"A{i}": i for i in range(1, n + 1)}
+    formula = "=B1+(" + "-".join(cells) + ")"
+    reference = make_workbook({**cells, "B1": 1, "B2": 2, "C1": formula.replace("B1", "B2", 1)})
+    submission = make_workbook({**cells, "B1": 1, "B2": 2, "C1": formula, "D1": formula})
+    bundle = TaskBundle(task="long-difference-sum", reference=reference).validate()
+    report = generate_feedback(bundle, submission, level, force_quality=True)
+    assert report.status is Status.FAIL
+    assert [d.cell.text() for d in report.diagnoses] == ["C1", "C1"]
+    if level == 6:
+        assert report.messages == ("The reference B2 should be used in cell C1.",)
+    else:
+        assert "The same calculation is used in cells C1, D1." in report.messages
 
 
 @pytest.mark.parametrize("level", range(1, 8))

@@ -23,6 +23,7 @@ from sheetcheck.formulas import (
     TextLit,
     Unary,
     UnaryOp,
+    node_key,
 )
 
 from conftest import addr, make_workbook, texts
@@ -391,3 +392,12 @@ def test_canonical_long_left_deep_chain_keeps_its_shape(op):
     while isinstance(canonical, Binary) and canonical.op.symbol == op:
         canonical, depth = canonical.left, depth + 1
     assert depth == 4999 and canonical == ref("A1")
+
+
+def test_canonical_sorts_a_long_difference_inside_a_sum():
+    difference = "-".join(f"A{i}" for i in range(1, 5001))
+    canonical = canonicalize(parse_formula(f"=({difference})+B1"))
+    assert canonical.op is BinOp.ADD and canonical.left == ref("B1")
+    # ASTs this deep compare by node_key: dataclass equality would recurse
+    assert node_key(canonical.right) == node_key(parse_formula(f"={difference}"))
+    assert node_key(canonical) == node_key(canonicalize(parse_formula(f"=B1+({difference})")))

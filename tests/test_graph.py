@@ -2,8 +2,8 @@ import pytest
 
 from sheetcheck import (
     CycleError,
+    analyze,
     build_graph,
-    evaluate,
     export_dot,
     longest_chain,
     parse_formula,
@@ -15,12 +15,12 @@ from conftest import addr, fill_down_cells, make_workbook, texts
 
 def graph_of(cells):
     wb = make_workbook(cells)
-    return build_graph(wb, evaluate(wb))
+    return build_graph(analyze(wb))
 
 
 @pytest.fixture(scope="module")
 def solution_graph(grades):
-    return build_graph(grades.solution, evaluate(grades.solution))
+    return build_graph(analyze(grades.solution))
 
 
 def test_solution_graph_node_set(solution_graph):
@@ -134,22 +134,21 @@ def test_cycle_in_graph_iff_cycle_value():
     from sheetcheck.graph import _find_cycle
 
     cyclic = make_workbook({"A1": "=B1", "B1": "=A1", "C1": 5})
-    graph = build_graph(cyclic, evaluate(cyclic))
+    graph = build_graph(analyze(cyclic))
     assert _find_cycle(graph) is not None
     assert any(v == CellError(ErrorKind.CYCLE) for v in evaluate(cyclic).values())
 
     acyclic = make_workbook({"A1": 1, "B1": "=A1"})
-    graph = build_graph(acyclic, evaluate(acyclic))
+    graph = build_graph(analyze(acyclic))
     assert _find_cycle(graph) is None
     assert not any(v == CellError(ErrorKind.CYCLE) for v in evaluate(acyclic).values())
 
 
 def test_dot_qualifies_nodes_across_sheets():
     from conftest import make_multi_workbook
-    from sheetcheck import evaluate
 
     wb = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*2"}})
-    dot = export_dot(build_graph(wb, evaluate(wb)))
+    dot = export_dot(build_graph(analyze(wb)))
     assert '"Main!B1" -> "Data!A1";' in dot
 
 

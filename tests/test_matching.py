@@ -217,7 +217,7 @@ def test_randomized_single_mutation_localized():
         # the oracle diff ranges over reference graph nodes only
         from sheetcheck import build_graph
 
-        nodes = set(build_graph(solution, solution_grid).nodes)
+        nodes = set(build_graph(analyze(solution)).nodes)
         assert set(result.formula_errors) == {mutated_cell}
         assert set(result.value_errors) == (oracle & nodes)
         checked += 1
@@ -287,7 +287,7 @@ def test_randomized_corrected_copy_matches_solution():
         result = match_values(analyze(solution), analyze(submission))
         solution_grid = evaluate(solution)
         corrected_grid = evaluate(result.corrected)
-        for node in build_graph(solution, solution_grid).nodes:
+        for node in build_graph(analyze(solution)).nodes:
             assert values_equal(
                 corrected_grid.get(node, BLANK), solution_grid.get(node, BLANK)
             ), node

@@ -6,11 +6,11 @@ from sheetcheck import (
     MetricExceeded,
     QualityConfig,
     QualityMetrics,
+    analyze,
     build_graph,
     compare_metrics,
     compute_metrics,
     duplicate_calculations,
-    evaluate,
     idiom_suggestions,
     longest_chain,
 )
@@ -19,9 +19,7 @@ from conftest import addr, make_workbook
 
 
 def metrics_of(workbook):
-    grid = evaluate(workbook)
-    graph = build_graph(workbook, grid)
-    return compute_metrics(workbook, graph, grid)
+    return compute_metrics(analyze(workbook))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +70,7 @@ def test_fan_maxima_tie_break_row_major(solution_metrics):
 
 
 def test_chain_consistency(grades, solution_metrics):
-    graph = build_graph(grades.solution, evaluate(grades.solution))
+    graph = build_graph(analyze(grades.solution))
     assert solution_metrics.longest_chain == longest_chain(graph)
 
 
@@ -149,45 +147,45 @@ def test_fixture_pair_produces_no_metric_findings(solution_metrics, submission_m
 
 
 def test_avg_suggested_for_spelled_out_averages(grades):
-    findings = idiom_suggestions(grades.submission, QualityConfig())
+    findings = idiom_suggestions(analyze(grades.submission), QualityConfig())
     assert findings == [IdiomSuggestion("AVG", tuple(addr(t) for t in ("B6", "C6", "D6")))]
 
 
 def test_no_suggestion_when_avg_already_used(grades):
-    assert idiom_suggestions(grades.solution, QualityConfig()) == []
+    assert idiom_suggestions(analyze(grades.solution), QualityConfig()) == []
 
 
 def test_suggestion_is_value_agnostic(grades):
     # C6 computes a wrong value in the fixture yet still earns the suggestion
-    findings = idiom_suggestions(grades.submission, QualityConfig())
+    findings = idiom_suggestions(analyze(grades.submission), QualityConfig())
     assert addr("C6") in findings[0].cells
 
 
 def test_sum_suggested_for_long_chains():
     wb = make_workbook({"A1": 1, "A2": 2, "A3": 3, "A4": 4, "A6": "=A1+A2+A3+A4"})
-    findings = idiom_suggestions(wb, QualityConfig())
+    findings = idiom_suggestions(analyze(wb), QualityConfig())
     assert findings == [IdiomSuggestion("SUM", (addr("A6"),))]
 
 
 def test_sum_not_suggested_for_three_cells():
     wb = make_workbook({"A1": 1, "A2": 2, "A3": 3, "A6": "=A1+A2+A3"})
-    assert idiom_suggestions(wb, QualityConfig()) == []
+    assert idiom_suggestions(analyze(wb), QualityConfig()) == []
 
 
 def test_sum_not_suggested_when_sum_used():
     wb = make_workbook({"A1": 1, "A2": 2, "A3": 3, "A4": 4, "A6": "=SUM(A1:A4)"})
-    assert idiom_suggestions(wb, QualityConfig()) == []
+    assert idiom_suggestions(analyze(wb), QualityConfig()) == []
 
 
 def test_avg_suggested_for_sum_divided_by_count():
     wb = make_workbook({"A1": 1, "A2": 2, "A3": 3, "A6": "=SUM(A1:A3)/3"})
-    findings = idiom_suggestions(wb, QualityConfig())
+    findings = idiom_suggestions(analyze(wb), QualityConfig())
     assert findings == [IdiomSuggestion("AVG", (addr("A6"),))]
 
 
 def test_repeated_reference_is_not_a_distinct_chain():
     wb = make_workbook({"A1": 1, "A2": 2, "A6": "=A1+A1+A2+A2+A1"})
-    assert idiom_suggestions(wb, QualityConfig()) == []
+    assert idiom_suggestions(analyze(wb), QualityConfig()) == []
 
 
 # ---------------------------------------------------------------- duplicates
@@ -195,22 +193,22 @@ def test_repeated_reference_is_not_a_distinct_chain():
 
 def test_duplicate_identical_targets():
     wb = make_workbook({"A1": 1, "A2": 2, "B1": "=A1+A2", "C1": "=A1+A2"})
-    findings = duplicate_calculations(wb)
+    findings = duplicate_calculations(analyze(wb))
     assert findings == [DuplicateCalculation((addr("B1"), addr("C1")))]
 
 
 def test_fill_down_offsets_are_not_duplicates():
     wb = make_workbook({"B3": 1, "C3": 2, "B4": 3, "C4": 4, "D3": "=(B3+C3)/2", "D4": "=(B4+C4)/2"})
-    assert duplicate_calculations(wb) == []
+    assert duplicate_calculations(analyze(wb)) == []
 
 
 def test_no_formulas_no_duplicates():
-    assert duplicate_calculations(make_workbook({"A1": 1})) == []
+    assert duplicate_calculations(analyze(make_workbook({"A1": 1}))) == []
 
 
 def test_duplicates_catch_reordered_operands():
     wb = make_workbook({"A1": 1, "A2": 2, "B1": "=A1+A2", "C1": "=A2+A1"})
-    findings = duplicate_calculations(wb)
+    findings = duplicate_calculations(analyze(wb))
     assert findings == [DuplicateCalculation((addr("B1"), addr("C1")))]
 
 
