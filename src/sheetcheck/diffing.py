@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance
 from .formulas import (
@@ -34,7 +35,10 @@ from .formulas import (
     render_reference,
     walk_ast,
 )
-from .grid import Cell, CellAddress, Formula, Text, format_number, format_value
+from .grid import BLANK, Cell, CellAddress, Formula, Text, format_number, format_value
+
+if TYPE_CHECKING:
+    from .feedback import WorkbookAnalysis
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -212,11 +216,6 @@ def _counter_diff(solution: Counter, submission: Counter) -> tuple[list, list]:
     return missing, surplus
 
 
-def _ref_sort_key(item: _RefItem):
-    address, col_abs, row_abs = item
-    return (address.key, col_abs, row_abs)
-
-
 def _render_ref_item(item: _RefItem, sheet: str) -> str:
     address, col_abs, row_abs = item
     return render_reference(CellRef(address, col_abs, row_abs), sheet)
@@ -238,24 +237,27 @@ def _match_numbers(
 
 
 def diff_formula(
-    solution: Cell, submission: Cell, tolerance: Tolerance = DEFAULT_TOLERANCE
+    solution: Cell, submission: WorkbookAnalysis, tolerance: Tolerance = DEFAULT_TOLERANCE
 ) -> ErrorDetail:
     """Classify why a formula-error cell disagrees with the solution.
 
-    The submission cell must already be diagnosed as a formula error.  A
-    constant where a formula is expected reports the solution's top
-    function or operator; otherwise the canonicalized formulas are compared
-    stage by stage and exactly one category is assigned.
+    The submission's cell at the solution cell's address must already be
+    diagnosed as a formula error; its canonical form comes from the
+    analysis.  A constant where a formula is expected reports the
+    solution's top function or operator; otherwise the canonicalized
+    formulas are compared stage by stage and exactly one category is
+    assigned.
     """
     address = solution.address
     sheet = address.sheet
+    submission_cell = submission.workbook.cell(address) or Cell(address, BLANK)
 
     sol_is_formula = isinstance(solution.content, Formula)
-    sub_is_formula = isinstance(submission.content, Formula)
+    sub_is_formula = isinstance(submission_cell.content, Formula)
 
     if sol_is_formula and not sub_is_formula:
         sol_ast = parse_formula(solution.content.source, sheet)
-        found = Fragment("constant", format_value(submission.content))
+        found = Fragment("constant", format_value(submission_cell.content))
         return ErrorDetail(
             cell=address,
             category=ErrorCategory.FUNCTION,
@@ -267,12 +269,12 @@ def diff_formula(
     if not sol_is_formula:
         expected_text = format_value(solution.content)
         if sub_is_formula:
-            found_text = submission.content.source
+            found_text = submission_cell.content.source
         else:
-            found_text = format_value(submission.content)
+            found_text = format_value(submission_cell.content)
         spelling = None
-        if isinstance(solution.content, Text) and isinstance(submission.content, Text):
-            spelling = spelling_hint(submission.content.value, solution.content.value)
+        if isinstance(solution.content, Text) and isinstance(submission_cell.content, Text):
+            spelling = spelling_hint(submission_cell.content.value, solution.content.value)
         return ErrorDetail(
             cell=address,
             category=ErrorCategory.CONSTANT,
@@ -282,7 +284,7 @@ def diff_formula(
         )
 
     sol_ast = canonicalize(parse_formula(solution.content.source, sheet))
-    sub_ast = canonicalize(parse_formula(submission.content.source, sheet))
+    sub_ast = submission.canonical[address]
 
     # Stage 1: operators and surviving function names.
     sol_ops, sol_funcs = _operators_and_functions(sol_ast)
@@ -307,8 +309,8 @@ def diff_formula(
     sol_refs = _reference_items(sol_ast)
     sub_refs = _reference_items(sub_ast)
     if sol_refs != sub_refs:
-        missing = sorted((sol_refs - sub_refs).elements(), key=_ref_sort_key)
-        surplus = sorted((sub_refs - sol_refs).elements(), key=_ref_sort_key)
+        missing = sorted((sol_refs - sub_refs).elements())  # addresses sort row-major
+        surplus = sorted((sub_refs - sol_refs).elements())
         expected = []
         found = [Fragment("reference", _render_ref_item(item, sheet)) for item in surplus]
         extras = []

@@ -538,8 +538,7 @@ def generate_feedback(
     details: dict[CellAddress, ErrorDetail] = {}
     for address in match.formula_errors:
         solution_cell = bundle.reference.cell(address) or Cell(address, BLANK)
-        submission_cell = submission.cell(address) or Cell(address, BLANK)
-        details[address] = diff_formula(solution_cell, submission_cell, bundle.tolerance)
+        details[address] = diff_formula(solution_cell, analysis, bundle.tolerance)
 
     diagnoses = tuple(
         Diagnosis(a, DiagnosisKind.VALUE_ERROR) for a in match.value_errors

@@ -144,9 +144,9 @@ FormulaAst = NumberLit | TextLit | BoolLit | CellRef | RangeRef | Unary | Binary
 
 
 def range_size(ref: RangeRef) -> int:
-    cols = ref.end.address.col - ref.start.address.col + 1
-    rows = ref.end.address.row - ref.start.address.row + 1
-    return cols * rows
+    _, top, left = ref.start.address
+    _, bottom, right = ref.end.address
+    return (right - left + 1) * (bottom - top + 1)
 
 
 def range_addresses(ref: RangeRef) -> list[CellAddress]:
@@ -155,11 +155,15 @@ def range_addresses(ref: RangeRef) -> list[CellAddress]:
         raise RangeCapacityError(
             f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {DEFAULT_RANGE_LIMIT}"
         )
-    sheet = ref.start.address.sheet
+    sheet, top, left = ref.start.address
+    _, bottom, right = ref.end.address
+    # Every member lies between two valid corners, so the members are built
+    # as (sheet, row, col) tuples directly, without the constructor's check.
+    new = tuple.__new__
     return [
-        CellAddress(sheet, col, row)
-        for row in range(ref.start.address.row, ref.end.address.row + 1)
-        for col in range(ref.start.address.col, ref.end.address.col + 1)
+        new(CellAddress, (sheet, row, col))
+        for row in range(top, bottom + 1)
+        for col in range(left, right + 1)
     ]
 
 
@@ -514,8 +518,7 @@ def node_key(node: FormulaAst) -> tuple:
     while stack:
         node = stack.pop()
         if isinstance(node, CellRef):
-            a = node.address
-            key += (0, a.sheet, a.row, a.col, node.col_absolute, node.row_absolute)
+            key += (0, node.address, node.col_absolute, node.row_absolute)  # an address sorts row-major
         elif isinstance(node, NumberLit):
             key += (1, node.value)
         elif isinstance(node, TextLit):
@@ -699,20 +702,29 @@ def render_formula(ast: FormulaAst, sheet: str = DEFAULT_SHEET) -> str:
             operand = f"({operand})"
         return f"{ast.op.symbol}{operand}"
     if isinstance(ast, Binary):
-        prec = _BIN_PREC[ast.op]
-        left = render_formula(ast.left, sheet)
-        right = render_formula(ast.right, sheet)
-        if ast.op is BinOp.POW:
-            # grammar: power := atom "^" unary (right-associative)
-            if _prec(ast.left) < _PREC_ATOM:
-                left = f"({left})"
-            if _prec(ast.right) < _PREC_UNARY:
-                right = f"({right})"
-        else:
-            if _prec(ast.left) < prec:
-                left = f"({left})"
-            if _prec(ast.right) <= prec:
-                right = f"({right})"
-        return f"{left}{ast.op.symbol}{right}"
+        # Left-associative chains such as A1-A2-...-An are left-deep: fold
+        # the left spine in a loop instead of recursing down it.  Every
+        # parenthesis around the text rendered so far opens at its start.
+        spine = []
+        while isinstance(ast, Binary):
+            spine.append(ast)
+            ast = ast.left
+        opened = 0
+        pieces = [render_formula(ast, sheet)]
+        for parent in reversed(spine):
+            right = render_formula(parent.right, sheet)
+            if parent.op is BinOp.POW:
+                # grammar: power := atom "^" unary (right-associative)
+                wrap_left = _prec(parent.left) < _PREC_ATOM
+                wrap_right = _prec(parent.right) < _PREC_UNARY
+            else:
+                wrap_left = _prec(parent.left) < _BIN_PREC[parent.op]
+                wrap_right = _prec(parent.right) <= _BIN_PREC[parent.op]
+            if wrap_left:
+                opened += 1
+                pieces.append(")")
+            pieces.append(parent.op.symbol)
+            pieces.append(f"({right})" if wrap_right else right)
+        return "(" * opened + "".join(pieces)
     args = ",".join(render_formula(arg, sheet) for arg in ast.args)
     return f"{ast.name}({args})"

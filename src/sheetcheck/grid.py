@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping
@@ -67,17 +68,34 @@ def column_index(letters: str) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """A cell position: sheet name plus 1-based column and row indices."""
+# The field getters of a namedtuple are C-level descriptors that read one
+# slot of any tuple, as fast as indexing; CellAddress borrows them.
+_AddressLayout = namedtuple("_AddressLayout", ("sheet", "row", "col"))
 
-    sheet: str
-    col: int
-    row: int
 
-    def __post_init__(self) -> None:
-        if self.col < 1 or self.row < 1:
-            raise AddressError(f"column and row must be positive, got {self.col}, {self.row}")
+class CellAddress(tuple):
+    """A cell position: sheet name plus 1-based column and row indices.
+
+    The constructor takes (sheet, col, row), but the address is stored as
+    the tuple (sheet, row, col), so hashing, equality and the natural
+    order run in C and the natural order is row-major.  An address
+    compares equal to the plain tuple (sheet, row, col).
+    """
+
+    __slots__ = ()
+
+    sheet = _AddressLayout.sheet
+    row = _AddressLayout.row
+    col = _AddressLayout.col
+
+    def __new__(cls, sheet: str, col: int, row: int) -> CellAddress:
+        if col < 1 or row < 1:
+            raise AddressError(f"column and row must be positive, got {col}, {row}")
+        return tuple.__new__(cls, (sheet, row, col))
+
+    def __getnewargs__(self) -> tuple[str, int, int]:  # pickle and copy call __new__
+        sheet, row, col = self
+        return (sheet, col, row)
 
     def text(self, qualified: bool = False) -> str:
         plain = f"{column_letters(self.col)}{self.row}"
@@ -85,8 +103,8 @@ class CellAddress:
 
     @property
     def key(self) -> tuple[str, int, int]:
-        """Row-major sort key (sheet, row, column)."""
-        return (self.sheet, self.row, self.col)
+        """Row-major sort key (sheet, row, column): the address as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self) -> str:  # compact: CellAddress('Sheet1'!D3)
         return f"CellAddress({self.sheet!r}!{self.text()})"
@@ -107,7 +125,7 @@ def parse_address(text: str, sheet: str = DEFAULT_SHEET) -> CellAddress:
 
 def row_major(addresses: Iterable[CellAddress]) -> tuple[CellAddress, ...]:
     """Addresses sorted row-major (by sheet, then row, then column)."""
-    return tuple(sorted(addresses, key=lambda a: a.key))
+    return tuple(sorted(addresses))
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +226,7 @@ class Sheet:
     cells: Mapping[CellAddress, Cell]
 
     def sorted_cells(self) -> list[Cell]:
-        return [self.cells[a] for a in sorted(self.cells, key=lambda a: a.key)]
+        return [self.cells[a] for a in sorted(self.cells)]
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,10 @@ def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
 
 
 def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
+    """The highest degree with its row-major-first address, in one pass."""
     best: tuple[CellAddress, int] | None = None
-    for address in sorted(degrees, key=lambda a: a.key):
-        count = degrees[address]
-        if best is None or count > best[1]:
+    for address, count in degrees.items():
+        if best is None or count > best[1] or (count == best[1] and address < best[0]):
             best = (address, count)
     return best
 
@@ -268,5 +268,5 @@ def duplicate_calculations(analysis: WorkbookAnalysis) -> list[QualityFinding]:
     for address, canonical in analysis.canonical.items():
         by_form.setdefault(node_key(canonical), []).append(address)
     groups = [row_major(cells) for cells in by_form.values() if len(cells) >= 2]
-    groups.sort(key=lambda cells: cells[0].key)
+    groups.sort()  # by first cell: no cell is in two groups
     return [DuplicateCalculation(cells) for cells in groups]

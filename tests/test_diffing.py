@@ -1,5 +1,5 @@
-from sheetcheck import ErrorCategory, diff_formula, levenshtein, spelling_hint
-from sheetcheck.grid import Cell, Formula, Number, Text
+from sheetcheck import ErrorCategory, analyze, diff_formula, levenshtein, spelling_hint
+from sheetcheck.grid import Cell, Formula, Number, Sheet, Text, Workbook
 
 from conftest import addr
 
@@ -13,7 +13,9 @@ def cell(text, content):
 
 
 def diff(solution_content, submission_content, at="D3"):
-    return diff_formula(cell(at, solution_content), cell(at, submission_content))
+    submission = cell(at, submission_content)
+    workbook = Workbook("submission", (Sheet("Sheet1", {submission.address: submission}),))
+    return diff_formula(cell(at, solution_content), analyze(workbook))
 
 
 # ---------------------------------------------------------------- levenshtein
@@ -161,8 +163,9 @@ def test_constants_match_under_tolerance():
 
 
 def test_identical_formulas_have_empty_diffs(grades):
+    analysis = analyze(grades.solution)
     for cell_obj in grades.solution.formula_cells():
-        detail = diff_formula(cell_obj, cell_obj)
+        detail = diff_formula(cell_obj, analysis)
         assert detail.category is ErrorCategory.UNCLASSIFIED
         assert detail.expected == () and detail.found == () and detail.extras == ()
 
@@ -233,7 +236,7 @@ def test_randomized_reference_repair_identifies_the_swap():
         if mutation is None:
             continue
         submission, mutated_cell, mutated_ast = mutation
-        detail = diff_formula(solution.cell(mutated_cell), submission.cell(mutated_cell))
+        detail = diff_formula(solution.cell(mutated_cell), analyze(submission))
         if detail.category is not ErrorCategory.REFERENCE:
             continue  # operator and constant mutations classify elsewhere
         if len(detail.expected) == 1 and len(detail.found) == 1 and not detail.expected[0].is_range:

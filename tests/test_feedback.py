@@ -52,6 +52,28 @@ def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch)
     assert len(formulas) > 1 and calls == formulas
 
 
+def test_level_6_canonicalizes_each_formula_error_once(grades, monkeypatch):
+    from collections import Counter
+
+    import sheetcheck.diffing as diffing
+    import sheetcheck.quality as quality
+    from sheetcheck import parse_formula
+
+    calls = Counter()
+    for module in (diffing, quality):
+
+        def counting(ast, canonicalize=module.canonicalize):
+            calls[ast] += 1
+            return canonicalize(ast)
+
+        monkeypatch.setattr(module, "canonicalize", counting)
+    report = generate_feedback(grades.bundle, grades.submission, 6)
+    errors = [d.cell for d in report.diagnoses if d.kind is DiagnosisKind.FORMULA_ERROR]
+    submitted = [parse_formula(grades.submission.cell(a).content.source, a.sheet) for a in errors]
+    assert len(submitted) == 2
+    assert [calls[ast] for ast in submitted] == [1, 1]
+
+
 def test_pass_path_level_1(grades):
     report = generate_feedback(grades.bundle, grades.solution, 1)
     assert report.status is Status.PASS

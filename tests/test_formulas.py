@@ -401,3 +401,14 @@ def test_canonical_sorts_a_long_difference_inside_a_sum():
     # ASTs this deep compare by node_key: dataclass equality would recurse
     assert node_key(canonical.right) == node_key(parse_formula(f"={difference}"))
     assert node_key(canonical) == node_key(canonicalize(parse_formula(f"=B1+({difference})")))
+
+
+@pytest.mark.parametrize("op", ["-", "&"])
+def test_render_long_left_deep_chain(op):
+    terms = ["(D1=1)"] + [f"A{i}" if i % 3 else f"(B{i}&C{i})" for i in range(2, 5001)]
+    # the text the recursive renderer produced for the first 60 terms
+    prefix = op.join(terms[:60])
+    assert render_formula(parse_formula("=" + prefix)) == prefix
+    ast = parse_formula("=" + op.join(terms))
+    assert node_key(parse_formula("=" + render_formula(ast))) == node_key(ast)
+

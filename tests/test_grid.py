@@ -1,11 +1,16 @@
+import copy
 import json
+import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sheetcheck import (
     BLANK,
     AddressError,
     Boolean,
+    CellAddress,
     Formula,
     Number,
     Text,
@@ -14,6 +19,7 @@ from sheetcheck import (
     column_letters,
     parse_address,
     read_workbook,
+    row_major,
     write_workbook,
 )
 
@@ -61,6 +67,73 @@ def test_address_codec_roundtrip_1_to_10000():
 def test_render_parse_identity():
     a = addr("AB12")
     assert parse_address(a.text()) == a
+
+
+# ---------------------------------------------------------------- the address type
+
+
+@pytest.mark.parametrize("col, row", [(0, 1), (1, 0), (-3, 2), (0, 0)])
+def test_address_rejects_non_positive_indices(col, row):
+    with pytest.raises(AddressError):
+        CellAddress("Sheet1", col, row)
+    with pytest.raises(AddressError):
+        CellAddress(sheet="Sheet1", col=col, row=row)
+
+
+def test_address_fields_and_constructor_order():
+    a = CellAddress("Data", 4, 3)
+    assert (a.sheet, a.col, a.row) == ("Data", 4, 3)
+    assert CellAddress(row=3, sheet="Data", col=4) == a
+    assert a.text() == "D3" and a.text(qualified=True) == "Data!D3"
+    assert a.key == ("Data", 3, 4)
+    assert a == ("Data", 3, 4) and hash(a) == hash(("Data", 3, 4))
+
+
+def test_address_repr_is_compact():
+    assert repr(CellAddress("Sheet1", 4, 3)) == "CellAddress('Sheet1'!D3)"
+    assert repr(CellAddress("Data", 28, 100)) == "CellAddress('Data'!AB100)"
+
+
+@pytest.mark.parametrize("field", ["sheet", "col", "row", "other"])
+def test_address_is_immutable(field):
+    a = CellAddress("Sheet1", 1, 1)
+    with pytest.raises(AttributeError):
+        setattr(a, field, 2)
+    assert a == CellAddress("Sheet1", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [lambda a: pickle.loads(pickle.dumps(a)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_address_copies_round_trip(roundtrip):
+    a = CellAddress("Data", 28, 100)
+    b = roundtrip(a)
+    assert type(b) is CellAddress and b == a
+    assert (b.sheet, b.col, b.row) == ("Data", 28, 100)
+
+
+def test_address_hashes_and_compares_as_a_tuple():
+    # Python-level __hash__ or __eq__ on addresses would slow every address-keyed map
+    assert CellAddress.__hash__ is tuple.__hash__
+    assert CellAddress.__eq__ is tuple.__eq__
+    assert CellAddress.__lt__ is tuple.__lt__
+
+
+@given(
+    st.lists(
+        st.builds(
+            CellAddress,
+            sheet=st.sampled_from(["Sheet1", "Data", "A", "b"]),
+            col=st.integers(1, 40),
+            row=st.integers(1, 40),
+        ),
+        max_size=40,
+    )
+)
+def test_row_major_sorts_by_sheet_row_column(addresses):
+    assert row_major(addresses) == tuple(sorted(addresses, key=lambda a: (a.sheet, a.row, a.col)))
 
 
 def test_read_constant_number():
