@@ -20,6 +20,7 @@ from .feedback import (
     FeedbackReport,
     Status,
     TaskBundle,
+    WorkbookAnalysis,
     analyze,
     generate_feedback,
     load_bundle,
@@ -28,7 +29,7 @@ from .feedback import (
     render_text,
     report_to_doc,
 )
-from .formulas import syntax_check
+from .formulas import parse_workbook, syntax_check
 from .graph import export_dot
 from .grid import Workbook, read_workbook
 
@@ -115,30 +116,30 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 2
 
 
-def _checked_workbook(args: argparse.Namespace) -> Workbook | None:
+def _checked_analysis(args: argparse.Namespace) -> WorkbookAnalysis | None:
     workbook = _read_workbook_file(args.workbook)
-    report = syntax_check(workbook)
+    formulas, report = parse_workbook(workbook)
     if not report.ok:
         for issue in report.errors:
             print(f"{issue.cell.text(qualified=True)}: {issue.message}", file=sys.stderr)
         return None
-    return workbook
+    return analyze(workbook, formulas)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    workbook = _checked_workbook(args)
-    if workbook is None:
+    analysis = _checked_analysis(args)
+    if analysis is None:
         return 2
-    qualify = len(workbook.sheets) > 1
-    sys.stdout.write(json.dumps(metrics_doc(analyze(workbook).metrics, qualify), indent=2) + "\n")
+    qualify = len(analysis.workbook.sheets) > 1
+    sys.stdout.write(json.dumps(metrics_doc(analysis.metrics, qualify), indent=2) + "\n")
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    workbook = _checked_workbook(args)
-    if workbook is None:
+    analysis = _checked_analysis(args)
+    if analysis is None:
         return 2
-    sys.stdout.write(export_dot(analyze(workbook).graph))
+    sys.stdout.write(export_dot(analysis.graph))
     return 0
 
 

@@ -29,13 +29,12 @@ from .formulas import (
     TextLit,
     Unary,
     canonicalize,
-    parse_formula,
     range_addresses,
     render_formula,
     render_reference,
     walk_ast,
 )
-from .grid import BLANK, Cell, CellAddress, Formula, Text, format_number, format_value
+from .grid import CellAddress, Formula, Text, format_number, format_value
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
@@ -63,9 +62,12 @@ def spelling_threshold(expected: str) -> int:
 
 def spelling_hint(found: str, expected: str) -> tuple[str, str] | None:
     """(found, expected) when the texts differ by a plausible typo distance."""
-    if found == expected:
+    threshold = spelling_threshold(expected)
+    # The edit distance is at least the length difference, so a text much
+    # longer than the expected one is rejected without computing it.
+    if found == expected or abs(len(found) - len(expected)) > threshold:
         return None
-    if levenshtein(found, expected) <= spelling_threshold(expected):
+    if levenshtein(found, expected) <= threshold:
         return (found, expected)
     return None
 
@@ -237,44 +239,46 @@ def _match_numbers(
 
 
 def diff_formula(
-    solution: Cell, submission: WorkbookAnalysis, tolerance: Tolerance = DEFAULT_TOLERANCE
+    reference: WorkbookAnalysis,
+    submission: WorkbookAnalysis,
+    address: CellAddress,
+    tolerance: Tolerance = DEFAULT_TOLERANCE,
 ) -> ErrorDetail:
-    """Classify why a formula-error cell disagrees with the solution.
+    """Classify why a formula-error cell disagrees with the reference.
 
-    The submission's cell at the solution cell's address must already be
-    diagnosed as a formula error; its canonical form comes from the
-    analysis.  A constant where a formula is expected reports the
-    solution's top function or operator; otherwise the canonicalized
-    formulas are compared stage by stage and exactly one category is
-    assigned.
+    The submission's cell at `address` must already be diagnosed as a
+    formula error.  Both formulas come parsed from the analyses, the
+    submission's canonical form too.  A constant where a formula is
+    expected reports the reference's top function or operator; otherwise
+    the canonicalized formulas are compared stage by stage and exactly one
+    category is assigned.
     """
-    address = solution.address
     sheet = address.sheet
-    submission_cell = submission.workbook.cell(address) or Cell(address, BLANK)
+    solution = reference.workbook.content(address)
+    submitted = submission.workbook.content(address)
 
-    sol_is_formula = isinstance(solution.content, Formula)
-    sub_is_formula = isinstance(submission_cell.content, Formula)
+    sol_is_formula = isinstance(solution, Formula)
+    sub_is_formula = isinstance(submitted, Formula)
 
     if sol_is_formula and not sub_is_formula:
-        sol_ast = parse_formula(solution.content.source, sheet)
-        found = Fragment("constant", format_value(submission_cell.content))
+        found = Fragment("constant", format_value(submitted))
         return ErrorDetail(
             cell=address,
             category=ErrorCategory.FUNCTION,
-            expected=(_top_fragment(sol_ast, sheet),),
+            expected=(_top_fragment(reference.formulas[address], sheet),),
             found=(found,),
             formula_expected=True,
         )
 
     if not sol_is_formula:
-        expected_text = format_value(solution.content)
+        expected_text = format_value(solution)
         if sub_is_formula:
-            found_text = submission_cell.content.source
+            found_text = submitted.source
         else:
-            found_text = format_value(submission_cell.content)
+            found_text = format_value(submitted)
         spelling = None
-        if isinstance(solution.content, Text) and isinstance(submission_cell.content, Text):
-            spelling = spelling_hint(submission_cell.content.value, solution.content.value)
+        if isinstance(solution, Text) and isinstance(submitted, Text):
+            spelling = spelling_hint(submitted.value, solution.value)
         return ErrorDetail(
             cell=address,
             category=ErrorCategory.CONSTANT,
@@ -283,7 +287,7 @@ def diff_formula(
             spelling=spelling,
         )
 
-    sol_ast = canonicalize(parse_formula(solution.content.source, sheet))
+    sol_ast = canonicalize(reference.formulas[address])
     sub_ast = submission.canonical[address]
 
     # Stage 1: operators and surviving function names.
@@ -336,7 +340,7 @@ def diff_formula(
                 Fragment("reference", _render_ref_item(item, sheet), flag_hint=hint)
             )
 
-        groups = _solution_groups(parse_formula(solution.content.source, sheet), sheet)
+        groups = _solution_groups(reference.formulas[address], sheet)
         seen_groups: set[_RefGroup] = set()
         for item in remaining_missing:
             group = _group_for(item[0], groups)

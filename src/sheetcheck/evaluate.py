@@ -20,12 +20,13 @@ from .formulas import (
     BoolLit,
     CellRef,
     FormulaAst,
+    FormulaSyntaxError,
     NumberLit,
     RangeRef,
     TextLit,
     Unary,
     UnaryOp,
-    parse_formula,
+    parse_workbook,
     range_addresses,
 )
 from .grid import (
@@ -58,8 +59,8 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (self.abs >= 0 and self.rel >= 0):  # NaN fails too
+            raise ValueError("tolerances must be non-negative numbers")
 
     def close(self, a: float, b: float) -> bool:
         """True when a and b differ by at most the larger of the two bounds."""
@@ -361,15 +362,22 @@ def evaluate_ast(ast: FormulaAst, values: Mapping[CellAddress, Value]) -> Value:
 Contents = dict[CellAddress, "Value | FormulaAst"]
 
 
-def workbook_contents(workbook: Workbook) -> Contents:
-    """Flatten a workbook into an address map of values and parsed formulas."""
-    contents: Contents = {}
-    for cell in workbook.iter_cells():
-        if isinstance(cell.content, Formula):
-            contents[cell.address] = parse_formula(cell.content.source, cell.address.sheet)
-        else:
-            contents[cell.address] = cell.content
-    return contents
+def workbook_contents(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> Contents:
+    """Flatten a workbook into an address map of values and parsed formulas.
+
+    `formulas` are the workbook's parsed formula cells as `parse_workbook`
+    returns them for a workbook without syntax errors.  Without them the
+    workbook is parsed here, and a syntax error raises FormulaSyntaxError.
+    """
+    if formulas is None:
+        formulas, syntax = parse_workbook(workbook)
+        if not syntax.ok:
+            issue = syntax.errors[0]
+            raise FormulaSyntaxError(f"{issue.cell.text(qualified=True)}: {issue.message}", issue.position)
+    return {
+        cell.address: formulas[cell.address] if isinstance(cell.content, Formula) else cell.content
+        for cell in workbook.iter_cells()
+    }
 
 
 def cell_value(
@@ -429,16 +437,18 @@ def cell_value(
     return memo[address]
 
 
-def evaluate(workbook: Workbook) -> dict[CellAddress, Value]:
+def evaluate(workbook: Workbook, contents: Contents | None = None) -> dict[CellAddress, Value]:
     """Evaluate every cell of a workbook.
 
     The result covers every constant cell, every formula cell and every
     cell referenced by a formula (blank when absent); referenced addresses
     on nonexistent sheets are not part of the grid, the referring formula
-    simply evaluates to BAD_REF.  The workbook must have passed the syntax
-    check.
+    simply evaluates to BAD_REF.  `contents` are the workbook's
+    `workbook_contents`, built here when not given; the workbook must have
+    passed the syntax check.
     """
-    contents = workbook_contents(workbook)
+    if contents is None:
+        contents = workbook_contents(workbook)
     sheets = frozenset(workbook.sheet_names())
     memo: dict[CellAddress, Value] = {}
     for address in contents:

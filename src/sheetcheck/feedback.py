@@ -21,12 +21,15 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .diffing import ErrorCategory, ErrorDetail, diff_formula
-from .evaluate import DEFAULT_TOLERANCE, CYCLE, Tolerance, evaluate
-from .formulas import FormulaAst, SyntaxReport, parse_formula, syntax_check
+from .evaluate import DEFAULT_TOLERANCE, CYCLE, Contents, Tolerance, evaluate, workbook_contents
+from .formulas import FormulaAst, SyntaxReport, parse_workbook
+
+# Not called here since reports run the single parse pass; the benchmark's
+# tracer (perfbench/tracing.py) still wraps this name in this module.
+from .formulas import syntax_check  # noqa: F401
 from .graph import DependencyGraph, build_graph
 from .grid import (
-    BLANK,
-    Cell,
+    VALUE_TYPES,
     CellAddress,
     Text,
     Value,
@@ -61,24 +64,29 @@ class TaskConfigError(ValueError):
 
 
 class WorkbookAnalysis:
-    """A syntax-checked workbook with its formulas, grid, graph and quality metrics.
+    """A syntax-checked workbook with its contents, grid, graph and quality metrics.
 
-    `formulas` maps each formula cell, row-major, to its parsed AST and
-    `canonical` to its canonical form; the graph, metrics and quality checks
-    read formulas only from here.  The grid is evaluated when the analysis
-    is made, the rest on first use.  The reference of a task bundle is
-    analysed once per bundle, a submission once per report.
+    `contents` maps each cell, in workbook order, to its value or, for a
+    formula cell, its parsed AST (see `evaluate.workbook_contents`); the
+    workbook is parsed here when they are not given.  `formulas` maps each
+    formula cell, row-major, to its AST and `canonical` to its canonical
+    form; the graph, metrics and quality checks read formulas only from
+    here.  Those and the graph and metrics are computed on first use.  The
+    reference of a task bundle is analysed once per bundle, a submission
+    once per report.
     """
 
-    def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value]):
+    def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value], contents: Contents | None = None):
         self.workbook = workbook
         self.grid = grid
+        self.contents = workbook_contents(workbook) if contents is None else contents
 
     @cached_property
     def formulas(self) -> dict[CellAddress, FormulaAst]:
         return {
-            cell.address: parse_formula(cell.content.source, cell.address.sheet)
-            for cell in self.workbook.formula_cells()
+            address: content
+            for address, content in self.contents.items()
+            if not isinstance(content, VALUE_TYPES)
         }
 
     @cached_property
@@ -94,9 +102,14 @@ class WorkbookAnalysis:
         return compute_metrics(self)
 
 
-def analyze(workbook: Workbook) -> WorkbookAnalysis:
-    """Evaluate a workbook that has passed the syntax check."""
-    return WorkbookAnalysis(workbook, evaluate(workbook))
+def analyze(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> WorkbookAnalysis:
+    """Evaluate a workbook that has passed the syntax check.
+
+    `formulas` are its parsed formula cells as `parse_workbook` returns
+    them; without them the workbook is parsed here.
+    """
+    contents = workbook_contents(workbook, formulas)
+    return WorkbookAnalysis(workbook, evaluate(workbook, contents), contents)
 
 
 # --------------------------------------------------------------------------
@@ -139,20 +152,34 @@ class TaskBundle:
     quality: QualityConfig = field(default_factory=QualityConfig)
 
     def validate(self) -> "TaskBundle":
-        report = syntax_check(self.reference)
-        if not report.ok:
-            first = report.errors[0]
-            raise TaskConfigError(
-                f"reference workbook has syntax errors, first in "
-                f"{first.cell.text(qualified=True)}: {first.message}"
-            )
         if any(value == CYCLE for value in self.reference_analysis.grid.values()):
             raise TaskConfigError("reference workbook contains a reference cycle")
         return self
 
     @cached_property
     def reference_analysis(self) -> WorkbookAnalysis:
-        return analyze(self.reference)
+        formulas, report = parse_workbook(self.reference)
+        if not report.ok:
+            first = report.errors[0]
+            raise TaskConfigError(
+                f"reference workbook has syntax errors, first in "
+                f"{first.cell.text(qualified=True)}: {first.message}"
+            )
+        return analyze(self.reference, formulas)
+
+    @cached_property
+    def parsed_sources(self) -> dict[tuple[str, str], FormulaAst]:
+        """Each reference formula's (source, sheet) text mapped to its AST.
+
+        A submission formula with the same text takes this AST instead of
+        being parsed.  The map is keyed by text: comparing or hashing ASTs
+        recurses once per nesting level.
+        """
+        formulas = self.reference_analysis.formulas
+        return {
+            (cell.content.source, cell.address.sheet): formulas[cell.address]
+            for cell in self.reference.formula_cells()
+        }
 
 
 def _normalize_keywords(raw: Iterable[str]) -> tuple[str, ...]:
@@ -183,6 +210,22 @@ def _parse_range(text: str, sheet: str) -> tuple[CellAddress, CellAddress]:
     start = CellAddress(first.sheet, min(first.col, second.col), min(first.row, second.row))
     end = CellAddress(first.sheet, max(first.col, second.col), max(first.row, second.row))
     return start, end
+
+
+def _section(doc: Mapping[str, Any], key: str, kind: type, name: str) -> Any:
+    """`doc[key]`, or None when it is absent or null; any other type is a TaskConfigError."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise TaskConfigError(f"task bundle field {name!r} must be {expected}")
+    return value
+
+
+def _number(doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float) -> Any:
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TaskConfigError(f"task bundle field {name!r} must be a number") from exc
 
 
 def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | None = None) -> TaskBundle:
@@ -218,15 +261,17 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         reference = workbook_from_doc(reference_doc)
     default_sheet = reference.sheets[0].name if reference.sheets else "Sheet1"
 
-    tolerance_doc = doc.get("tolerance") or {}
+    tolerance_doc = _section(doc, "tolerance", dict, "tolerance") or {}
     tolerance = Tolerance(
-        abs=float(tolerance_doc.get("abs", DEFAULT_TOLERANCE.abs)),
-        rel=float(tolerance_doc.get("rel", DEFAULT_TOLERANCE.rel)),
+        abs=_number(tolerance_doc, "abs", DEFAULT_TOLERANCE.abs, "tolerance.abs"),
+        rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel"),
     )
 
     from .grid import AddressError
 
-    graded_doc = doc.get("graded_cells")
+    graded_doc = _section(doc, "graded_cells", list, "graded_cells")
+    if graded_doc is not None and not all(isinstance(text, str) for text in graded_doc):
+        raise TaskConfigError("task bundle field 'graded_cells' must list cell addresses as text")
     try:
         graded = (
             frozenset(parse_address(text, default_sheet) for text in graded_doc)
@@ -237,33 +282,36 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         raise TaskConfigError(f"bad graded cell address: {exc}") from exc
 
     annotations = []
-    for entry in doc.get("annotations") or ():
-        if not isinstance(entry, dict) or "range" not in entry or "text" not in entry:
-            raise TaskConfigError(f"annotation needs 'range' and 'text' fields: {entry!r}")
+    for entry in _section(doc, "annotations", list, "annotations") or ():
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("range", "text")):
+            raise TaskConfigError(f"annotation needs text 'range' and 'text' fields: {entry!r}")
         start, end = _parse_range(entry["range"], default_sheet)
         annotations.append(Annotation(start, end, entry["text"], entry.get("link")))
 
     materials = []
-    for entry in doc.get("materials") or ():
+    for entry in _section(doc, "materials", list, "materials") or ():
         if not isinstance(entry, dict) or "title" not in entry:
             raise TaskConfigError(f"material needs a 'title' field: {entry!r}")
-        keywords = _normalize_keywords(entry.get("keywords", ()))
+        keywords = _normalize_keywords(_section(entry, "keywords", list, "materials.keywords") or ())
         if not keywords:
             raise TaskConfigError(f"material {entry.get('title')!r} has no usable keywords")
         materials.append(MaterialEntry(entry["title"], keywords, entry.get("ref")))
 
-    quality_doc = doc.get("quality") or {}
-    overrides = {
-        metric: (
-            float(values.get("factor", quality_doc.get("factor", 1.5))),
-            float(values.get("offset", quality_doc.get("offset", 1.0))),
+    quality_doc = _section(doc, "quality", dict, "quality") or {}
+    factor = _number(quality_doc, "factor", 1.5, "quality.factor")
+    offset = _number(quality_doc, "offset", 1.0, "quality.offset")
+    overrides_doc = _section(quality_doc, "overrides", dict, "quality.overrides") or {}
+    overrides = {}
+    for metric in overrides_doc:
+        values = _section(overrides_doc, metric, dict, f"quality.overrides.{metric}") or {}
+        overrides[metric] = (
+            _number(values, "factor", factor, f"quality.overrides.{metric}.factor"),
+            _number(values, "offset", offset, f"quality.overrides.{metric}.offset"),
         )
-        for metric, values in (quality_doc.get("overrides") or {}).items()
-    }
     quality = QualityConfig(
-        factor=float(quality_doc.get("factor", 1.5)),
-        offset=float(quality_doc.get("offset", 1.0)),
-        min_idiom_operands=int(quality_doc.get("min_idiom_operands", 3)),
+        factor=factor,
+        offset=offset,
+        min_idiom_operands=_number(quality_doc, "min_idiom_operands", 3, "quality.min_idiom_operands", int),
         overrides=overrides,
     )
 
@@ -513,7 +561,7 @@ def generate_feedback(
 
     qualify = len(bundle.reference.sheets) > 1
 
-    syntax = syntax_check(submission)
+    formulas, syntax = parse_workbook(submission, bundle.parsed_sources)
     if not syntax.ok:
         messages = tuple(
             f"Syntax error in cell {issue.cell.text(qualified=qualify)}: {issue.message}"
@@ -531,14 +579,15 @@ def generate_feedback(
             qualify_sheets=qualify,
         )
 
-    analysis = analyze(submission)
-    match = match_values(bundle.reference_analysis, analysis, bundle.tolerance, bundle.graded)
+    reference = bundle.reference_analysis
+    analysis = analyze(submission, formulas)
+    match = match_values(reference, analysis, bundle.tolerance, bundle.graded)
     status = Status.FAIL if match.value_errors else Status.PASS
 
-    details: dict[CellAddress, ErrorDetail] = {}
-    for address in match.formula_errors:
-        solution_cell = bundle.reference.cell(address) or Cell(address, BLANK)
-        details[address] = diff_formula(solution_cell, analysis, bundle.tolerance)
+    details = {
+        address: diff_formula(reference, analysis, address, bundle.tolerance)
+        for address in match.formula_errors
+    }
 
     diagnoses = tuple(
         Diagnosis(a, DiagnosisKind.VALUE_ERROR) for a in match.value_errors
@@ -546,7 +595,7 @@ def generate_feedback(
         Diagnosis(a, DiagnosisKind.FORMULA_ERROR, details[a]) for a in match.formula_errors
     )
 
-    reference_metrics = bundle.reference_analysis.metrics
+    reference_metrics = reference.metrics
     findings: tuple[QualityFinding, ...] = tuple(
         idiom_suggestions(analysis, bundle.quality)
         + duplicate_calculations(analysis)

@@ -13,13 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Mapping, NamedTuple
 
 from .grid import (
     DEFAULT_SHEET,
     CellAddress,
-    Formula,
     Workbook,
     column_index,
     column_letters,
@@ -189,8 +187,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -246,7 +243,7 @@ class _Parser:
         return self.take()
 
     def at_op(self, *symbols: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.index]
         return token.kind == "OP" and token.text in symbols
 
     def nest(self, token: _Token) -> None:
@@ -394,7 +391,6 @@ def _normalized_range(a: CellRef, b: CellRef) -> RangeRef:
     )
 
 
-@lru_cache(maxsize=65536)
 def parse_formula(text: str, sheet: str = DEFAULT_SHEET) -> FormulaAst:
     """Parse formula source text (must start with "=") into an AST.
 
@@ -432,21 +428,39 @@ class SyntaxReport:
         return not self.errors
 
 
+def parse_workbook(
+    workbook: Workbook, known: Mapping[tuple[str, str], FormulaAst] = {}
+) -> tuple[dict[CellAddress, FormulaAst], SyntaxReport]:
+    """Parse every formula cell once: the ASTs and the syntax report.
+
+    The ASTs map each formula cell that parses, row-major, to its AST; the
+    report lists every failure, row-major.  A cell whose (source, sheet)
+    is a key of `known` takes that AST unparsed: a parse depends on that
+    pair alone and ASTs are immutable, so the result is the same.  The
+    engine parses formulas only here, and keeps no parse between calls.
+    """
+    formulas: dict[CellAddress, FormulaAst] = {}
+    issues = []
+    for cell in workbook.formula_cells():
+        text = (cell.content.source, cell.address.sheet)
+        ast = known.get(text)
+        if ast is None:
+            try:
+                ast = parse_formula(*text)
+            except FormulaError as exc:
+                issues.append(SyntaxIssue(cell.address, str(exc), exc.position))
+                continue
+        formulas[cell.address] = ast
+    return formulas, SyntaxReport(tuple(issues))
+
+
 def syntax_check(workbook: Workbook) -> SyntaxReport:
     """Parse every formula cell; the report lists all failures row-major.
 
     A non-empty report means the workbook cannot be analyzed further and
     callers return an error instead of feedback.
     """
-    issues = []
-    for cell in workbook.iter_cells():
-        if not isinstance(cell.content, Formula):
-            continue
-        try:
-            parse_formula(cell.content.source, cell.address.sheet)
-        except FormulaError as exc:
-            issues.append(SyntaxIssue(cell.address, str(exc), exc.position))
-    return SyntaxReport(tuple(issues))
+    return parse_workbook(workbook)[1]
 
 
 # --------------------------------------------------------------------------

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
+from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal
 from .graph import terminals
 from .grid import BLANK, Blank, Cell, CellAddress, Sheet, Value, Workbook, row_major
 
-# Not called here since matching takes analysed workbooks; the benchmark's
-# tracer (perfbench/tracing.py) still wraps these two names in this module.
-from .evaluate import evaluate  # noqa: F401
+# Not called here since matching takes analysed workbooks, which hold their
+# evaluated grid, graph and parsed contents; the benchmark's tracer
+# (perfbench/tracing.py) still wraps these three names in this module.
+from .evaluate import evaluate, workbook_contents  # noqa: F401
 from .graph import build_graph  # noqa: F401
 
 if TYPE_CHECKING:
@@ -85,7 +86,7 @@ def match_values(
     dependents = submission.graph.in_edges
     cyclic = set(submission.graph.nodes).difference(submission.graph.acyclic_order)
 
-    working = workbook_contents(submission.workbook)
+    working = dict(submission.contents)
     working_sheets = set(submission.workbook.sheet_names())
     memo = dict(submission_grid)
 

@@ -75,7 +75,7 @@ class QualityConfig:
     overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.factor < 1 or self.offset < 0 or self.min_idiom_operands < 2:
+        if not (self.factor >= 1 and self.offset >= 0 and self.min_idiom_operands >= 2):  # NaN fails too
             raise ValueError("quality thresholds out of range")
 
     def threshold(self, metric: str, reference_value: float) -> float:

@@ -28,6 +28,31 @@ def texts(addresses) -> list[str]:
     return [a.text() for a in addresses]
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """Counter of the (source, sheet) pairs parse_formula is called with.
+
+    The counting wrapper replaces every binding of parse_formula in the
+    loaded sheetcheck modules, so a module that parses on its own is counted.
+    """
+    import sys
+    from collections import Counter
+
+    from sheetcheck import formulas
+
+    calls: Counter = Counter()
+    parse = formulas.parse_formula
+
+    def counting(text, sheet=formulas.DEFAULT_SHEET):
+        calls[(text, sheet)] += 1
+        return parse(text, sheet)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sheetcheck" and getattr(module, "parse_formula", None) is parse:
+            monkeypatch.setattr(module, "parse_formula", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grades():
     return load_fixture("grades")

@@ -215,6 +215,23 @@ def test_graph_dot(workspace, capsys):
     assert '"D6" -> "D3";' in out
 
 
+@pytest.mark.parametrize("command", ["metrics", "graph"])
+def test_metrics_and_graph_parse_each_formula_once(workspace, capsys, parses, command):
+    code, _, _ = run(capsys, command, workspace / "solution.json")
+    assert code == 0
+    assert sum(parses.values()) == 6  # one per formula cell
+
+
+def test_malformed_bundle_section_is_a_config_error(capsys, tmp_path):
+    task = tmp_path / "task.json"
+    task.write_text('{"task": "t", "reference": {"name": "r", "sheets": []}, "tolerance": [1]}')
+    sub = tmp_path / "sub.json"
+    sub.write_text('{"name": "s", "sheets": []}')
+    code, _, err = run(capsys, "check", task, sub)
+    assert code == 3
+    assert "internal error" not in err and "'tolerance'" in err
+
+
 def test_bad_bundle_exits_three(capsys, tmp_path):
     task = tmp_path / "task.json"
     task.write_text('{"task": "t", "reference": {"name": "r", "sheets": []}, "annotations": [{"range": "??", "text": "x"}]}')

@@ -1,4 +1,7 @@
+from hypothesis import given, strategies as st
+
 from sheetcheck import ErrorCategory, analyze, diff_formula, levenshtein, spelling_hint
+from sheetcheck.diffing import spelling_threshold
 from sheetcheck.grid import Cell, Formula, Number, Sheet, Text, Workbook
 
 from conftest import addr
@@ -12,10 +15,15 @@ def cell(text, content):
     return Cell(addr(text), Number(float(content)))
 
 
+def single_cell_workbook(name, content, at):
+    only = cell(at, content)
+    return Workbook(name, (Sheet("Sheet1", {only.address: only}),))
+
+
 def diff(solution_content, submission_content, at="D3"):
-    submission = cell(at, submission_content)
-    workbook = Workbook("submission", (Sheet("Sheet1", {submission.address: submission}),))
-    return diff_formula(cell(at, solution_content), analyze(workbook))
+    solution = single_cell_workbook("solution", solution_content, at)
+    submission = single_cell_workbook("submission", submission_content, at)
+    return diff_formula(analyze(solution), analyze(submission), addr(at))
 
 
 # ---------------------------------------------------------------- levenshtein
@@ -57,6 +65,23 @@ def test_spelling_hint_distance_above_threshold():
 def test_spelling_hint_short_words_allow_one_edit():
     assert spelling_hint("Sun", "Sum") == ("Sun", "Sum")
     assert spelling_hint("Ant", "Sum") is None
+
+
+def test_spelling_hint_skips_distance_for_a_far_longer_text(monkeypatch):
+    import sheetcheck.diffing as diffing
+
+    compared = []
+    distance = diffing.levenshtein
+    monkeypatch.setattr(diffing, "levenshtein", lambda a, b: compared.append(b) or distance(a, b))
+    detail = diff("Average grade", "x" * 1_000_000)
+    assert detail.category is ErrorCategory.CONSTANT and detail.spelling is None
+    assert compared == []
+
+
+@given(st.text("Avg rade", max_size=16), st.text("Avg rade", max_size=16))
+def test_spelling_hint_agrees_with_the_full_distance(found, expected):
+    close = found != expected and levenshtein(found, expected) <= spelling_threshold(expected)
+    assert spelling_hint(found, expected) == ((found, expected) if close else None)
 
 
 # ---------------------------------------------------------------- stage 1: operators and functions
@@ -165,7 +190,7 @@ def test_constants_match_under_tolerance():
 def test_identical_formulas_have_empty_diffs(grades):
     analysis = analyze(grades.solution)
     for cell_obj in grades.solution.formula_cells():
-        detail = diff_formula(cell_obj, analysis)
+        detail = diff_formula(analysis, analysis, cell_obj.address)
         assert detail.category is ErrorCategory.UNCLASSIFIED
         assert detail.expected == () and detail.found == () and detail.extras == ()
 
@@ -236,7 +261,7 @@ def test_randomized_reference_repair_identifies_the_swap():
         if mutation is None:
             continue
         submission, mutated_cell, mutated_ast = mutation
-        detail = diff_formula(solution.cell(mutated_cell), analyze(submission))
+        detail = diff_formula(analyze(solution), analyze(submission), mutated_cell)
         if detail.category is not ErrorCategory.REFERENCE:
             continue  # operator and constant mutations classify elsewhere
         if len(detail.expected) == 1 and len(detail.found) == 1 and not detail.expected[0].is_range:

@@ -141,6 +141,13 @@ def test_evaluate_is_pure(grades):
     assert evaluate(grades.submission) == evaluate(grades.submission)
 
 
+def test_evaluate_rejects_a_workbook_with_syntax_errors():
+    from sheetcheck import FormulaSyntaxError
+
+    with pytest.raises(FormulaSyntaxError, match="Sheet1!A2"):
+        evaluate(make_workbook({"A1": 1, "A2": "=A1+"}))
+
+
 # ---------------------------------------------------------------- fixed-point oracle
 
 

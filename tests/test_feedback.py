@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 
 import pytest
 
@@ -50,6 +52,39 @@ def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch)
         for cell in grades.submission.formula_cells()
     )
     assert len(formulas) > 1 and calls == formulas
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_each_submission_formula_is_parsed_once(grades, parses, level):
+    # Cells whose text matches a reference formula reuse its AST, and the
+    # bundle's reference was parsed when it was loaded.
+    reference = {(c.content.source, c.address.sheet) for c in grades.bundle.reference.formula_cells()}
+    texts = [(c.content.source, c.address.sheet) for c in grades.submission.formula_cells()]
+    generate_feedback(grades.bundle, grades.submission, level, force_quality=(level == 7))
+    expected = Counter(text for text in texts if text not in reference)
+    assert 0 < len(expected) < len(texts) and parses == expected
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_no_submission_ast_outlives_its_report(grades, monkeypatch, level):
+    import gc
+    import weakref
+
+    from sheetcheck import formulas
+
+    parsed = []
+    parse = formulas.parse_formula
+
+    def recording(text, sheet):
+        ast = parse(text, sheet)
+        parsed.append(weakref.ref(ast))
+        return ast
+
+    monkeypatch.setattr(formulas, "parse_formula", recording)
+    report = generate_feedback(grades.bundle, grades.submission, level, force_quality=(level == 7))
+    gc.collect()
+    assert report.diagnoses and parsed
+    assert [ref() for ref in parsed] == [None] * len(parsed)
 
 
 def test_level_6_canonicalizes_each_formula_error_once(grades, monkeypatch):
@@ -343,6 +378,26 @@ def test_bundle_bad_annotation_range_is_config_error():
         )
 
 
+@pytest.mark.parametrize("field, value", [("tolerance", {"abs": float("nan")}), ("quality", {"factor": float("nan")})])
+def test_bundle_rejects_nan_thresholds(field, value):
+    # A NaN tolerance would make every numeric comparison, even of the
+    # reference against itself, unequal.
+    doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
+    with pytest.raises(ValueError, match="non-negative|out of range"):
+        load_bundle(doc)
+
+
+def test_bundle_annotation_text_must_be_text():
+    with pytest.raises(TaskConfigError, match="text"):
+        load_bundle(
+            {
+                "task": "t",
+                "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]},
+                "annotations": [{"range": "A1", "text": 5}],
+            }
+        )
+
+
 def test_bundle_annotation_missing_text_is_config_error():
     with pytest.raises(TaskConfigError, match="text"):
         load_bundle(
@@ -363,6 +418,21 @@ def test_bundle_bad_graded_cell_is_config_error():
                 "graded_cells": ["??"],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("tolerance", [1], "tolerance"),
+        ("quality", {"overrides": {"operator_total": 2}}, "quality.overrides.operator_total"),
+        ("graded_cells", 5, "graded_cells"),
+        ("materials", [{"title": "m", "keywords": 5}], "materials.keywords"),
+    ],
+)
+def test_bundle_malformed_section_is_config_error(field, value, name):
+    doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
+    with pytest.raises(TaskConfigError, match=f"field '{re.escape(name)}'"):
+        load_bundle(doc)
 
 
 def test_integration_extras_and_spelling_hints():
