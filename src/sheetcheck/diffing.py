@@ -22,18 +22,23 @@ from .formulas import (
     Binary,
     BoolLit,
     CellRef,
+    Chain,
     FormulaAst,
     FuncCall,
     NumberLit,
     RangeRef,
+    RefItem,
     TextLit,
     Unary,
-    canonicalize,
-    range_addresses,
+    reference_difference,
     render_formula,
     render_reference,
     walk_ast,
 )
+
+# Not called here since both canonical forms come from the analyses; the
+# benchmark's tracer (perfbench/tracing.py) still wraps this name in this module.
+from .formulas import canonicalize  # noqa: F401
 from .grid import CellAddress, Formula, Text, format_number, format_value
 
 if TYPE_CHECKING:
@@ -125,25 +130,13 @@ def _operators_and_functions(ast: FormulaAst) -> tuple[Counter, Counter]:
     operators: Counter = Counter()
     functions: Counter = Counter()
     for node in walk_ast(ast):
-        if isinstance(node, (Unary, Binary)):
+        if isinstance(node, Chain):
+            operators[node.op.symbol] += node.size - 1  # as many as its expanded form has
+        elif isinstance(node, (Unary, Binary)):
             operators[node.op.symbol] += 1
         elif isinstance(node, FuncCall):
             functions[node.name] += 1
     return operators, functions
-
-
-_RefItem = tuple[CellAddress, bool, bool]
-
-
-def _reference_items(ast: FormulaAst) -> Counter:
-    items: Counter = Counter()
-    for node in walk_ast(ast):
-        if isinstance(node, CellRef):
-            items[(node.address, node.col_absolute, node.row_absolute)] += 1
-        elif isinstance(node, RangeRef):
-            for address in range_addresses(node):
-                items[(address, node.start.col_absolute, node.start.row_absolute)] += 1
-    return items
 
 
 def _constants(ast: FormulaAst) -> tuple[list[float], Counter, Counter]:
@@ -181,28 +174,30 @@ def _top_fragment(ast: FormulaAst, sheet: str) -> Fragment:
 class _RefGroup:
     text: str
     is_range: bool
-    anchor: CellAddress
-    members: frozenset[CellAddress]
+    start: CellAddress
+    end: CellAddress
+
+    def contains(self, address: CellAddress) -> bool:
+        sheet, top, left = self.start
+        _, bottom, right = self.end
+        return address.sheet == sheet and top <= address.row <= bottom and left <= address.col <= right
 
 
 def _solution_groups(ast: FormulaAst, sheet: str) -> list[_RefGroup]:
     groups: list[_RefGroup] = []
     for node in walk_ast(ast):
         if isinstance(node, CellRef):
-            groups.append(
-                _RefGroup(render_reference(node, sheet), False, node.address, frozenset({node.address}))
-            )
+            groups.append(_RefGroup(render_reference(node, sheet), False, node.address, node.address))
         elif isinstance(node, RangeRef):
-            members = frozenset(range_addresses(node))
             groups.append(
-                _RefGroup(render_reference(node, sheet), True, node.start.address, members)
+                _RefGroup(render_reference(node, sheet), True, node.start.address, node.end.address)
             )
     return groups
 
 
 def _group_for(address: CellAddress, groups: list[_RefGroup]) -> _RefGroup | None:
     for group in groups:
-        if address in group.members:
+        if group.contains(address):
             return group
     return None
 
@@ -218,7 +213,7 @@ def _counter_diff(solution: Counter, submission: Counter) -> tuple[list, list]:
     return missing, surplus
 
 
-def _render_ref_item(item: _RefItem, sheet: str) -> str:
+def _render_ref_item(item: RefItem, sheet: str) -> str:
     address, col_abs, row_abs = item
     return render_reference(CellRef(address, col_abs, row_abs), sheet)
 
@@ -247,11 +242,11 @@ def diff_formula(
     """Classify why a formula-error cell disagrees with the reference.
 
     The submission's cell at `address` must already be diagnosed as a
-    formula error.  Both formulas come parsed from the analyses, the
-    submission's canonical form too.  A constant where a formula is
-    expected reports the reference's top function or operator; otherwise
-    the canonicalized formulas are compared stage by stage and exactly one
-    category is assigned.
+    formula error.  Both formulas and their canonical forms come from the
+    analyses, so the reference's are built once per bundle.  A constant
+    where a formula is expected reports the reference's top function or
+    operator; otherwise the canonical forms are compared stage by stage
+    and exactly one category is assigned.
     """
     sheet = address.sheet
     solution = reference.workbook.content(address)
@@ -287,7 +282,7 @@ def diff_formula(
             spelling=spelling,
         )
 
-    sol_ast = canonicalize(reference.formulas[address])
+    sol_ast = reference.canonical[address]
     sub_ast = submission.canonical[address]
 
     # Stage 1: operators and surviving function names.
@@ -309,12 +304,10 @@ def diff_formula(
             )
         return ErrorDetail(address, category, tuple(expected), tuple(found), tuple(extras))
 
-    # Stage 2: references with their absoluteness flags.
-    sol_refs = _reference_items(sol_ast)
-    sub_refs = _reference_items(sub_ast)
-    if sol_refs != sub_refs:
-        missing = sorted((sol_refs - sub_refs).elements())  # addresses sort row-major
-        surplus = sorted((sub_refs - sol_refs).elements())
+    # Stage 2: references with their absoluteness flags, compared as
+    # rectangles; only the cells that differ are expanded.
+    missing, surplus = reference_difference(sol_ast, sub_ast)
+    if missing or surplus:
         expected = []
         found = [Fragment("reference", _render_ref_item(item, sheet)) for item in surplus]
         extras = []

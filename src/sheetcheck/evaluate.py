@@ -19,6 +19,7 @@ from .formulas import (
     BinOp,
     BoolLit,
     CellRef,
+    Chain,
     FormulaAst,
     FormulaSyntaxError,
     NumberLit,
@@ -309,6 +310,14 @@ def _binary(op: BinOp, left: Value, right: Value) -> Value:
 _Resolver = Callable[[CellAddress], Value]
 
 
+def _balanced(op: BinOp, values: list[Value]) -> Value:
+    """Combine operand values as the balanced tree whose left half holds (n + 1) // 2."""
+    if len(values) == 1:
+        return values[0]
+    mid = (len(values) + 1) // 2
+    return _binary(op, _balanced(op, values[:mid]), _balanced(op, values[mid:]))
+
+
 def _eval(node: FormulaAst, resolve: _Resolver) -> Value:
     if isinstance(node, NumberLit):
         return _number_value(node.value)  # a literal such as 1e999 overflows
@@ -337,6 +346,12 @@ def _eval(node: FormulaAst, resolve: _Resolver) -> Value:
         for parent in reversed(spine):
             value = _binary(parent.op, value, _eval(parent.right, resolve))
         return value
+    if isinstance(node, Chain):
+        # Operator semantics ("+" on blanks and text, not SUM's), over the
+        # expanded operands in order: the first error still wins.
+        values = [resolve(address) for address, _, _ in node.cells()]
+        values += [_eval(operand, resolve) for operand in node.operands]
+        return _balanced(node.op, values)
     values: list[Value] = []
     for arg in node.args:
         if isinstance(arg, RangeRef):

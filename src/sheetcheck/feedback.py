@@ -221,11 +221,17 @@ def _section(doc: Mapping[str, Any], key: str, kind: type, name: str) -> Any:
     return value
 
 
-def _number(doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float) -> Any:
+def _number(
+    doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float, least: int | None = None
+) -> Any:
+    """`doc[key]` as a `kind` number, `default` when absent; not below `least` when given."""
     try:
-        return kind(doc.get(key, default))
+        value = kind(doc.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise TaskConfigError(f"task bundle field {name!r} must be a number") from exc
+    if least is not None and not value >= least:  # NaN fails too
+        raise TaskConfigError(f"task bundle field {name!r} is out of range, must be at least {least}")
+    return value
 
 
 def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | None = None) -> TaskBundle:
@@ -263,8 +269,8 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
 
     tolerance_doc = _section(doc, "tolerance", dict, "tolerance") or {}
     tolerance = Tolerance(
-        abs=_number(tolerance_doc, "abs", DEFAULT_TOLERANCE.abs, "tolerance.abs"),
-        rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel"),
+        abs=_number(tolerance_doc, "abs", DEFAULT_TOLERANCE.abs, "tolerance.abs", least=0),
+        rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel", least=0),
     )
 
     from .grid import AddressError
@@ -298,8 +304,8 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         materials.append(MaterialEntry(entry["title"], keywords, entry.get("ref")))
 
     quality_doc = _section(doc, "quality", dict, "quality") or {}
-    factor = _number(quality_doc, "factor", 1.5, "quality.factor")
-    offset = _number(quality_doc, "offset", 1.0, "quality.offset")
+    factor = _number(quality_doc, "factor", 1.5, "quality.factor", least=1)
+    offset = _number(quality_doc, "offset", 1.0, "quality.offset", least=0)
     overrides_doc = _section(quality_doc, "overrides", dict, "quality.overrides") or {}
     overrides = {}
     for metric in overrides_doc:
@@ -311,7 +317,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     quality = QualityConfig(
         factor=factor,
         offset=offset,
-        min_idiom_operands=_number(quality_doc, "min_idiom_operands", 3, "quality.min_idiom_operands", int),
+        min_idiom_operands=_number(quality_doc, "min_idiom_operands", 3, "quality.min_idiom_operands", int, least=2),
         overrides=overrides,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .grid import (
     DEFAULT_SHEET,
@@ -138,7 +138,43 @@ class FuncCall:
     args: tuple["FormulaAst", ...]
 
 
-FormulaAst = NumberLit | TextLit | BoolLit | CellRef | RangeRef | Unary | Binary | FuncCall
+@dataclass(frozen=True)
+class Chain:
+    """A canonical "+" or "*" chain: one operator over two or more operands.
+
+    `refs` holds the chain's cell references as rectangles, RangeRefs
+    whose corners carry the same `$` flags.  They are the canonical
+    decomposition of the referenced cells as a multiset, so `A1+A2+A3`,
+    `SUM(A1:A3)` and `SUM(A1:A2)+A3` hold the one rectangle A1:A3, and
+    `SUM(A1:A3,A2)` holds A1:A3 and A2.  `operands` holds every other
+    operand, sorted by `node_key`.  Only `canonicalize` builds chains.
+    """
+
+    op: BinOp
+    refs: tuple[RangeRef, ...]
+    operands: tuple["FormulaAst", ...]
+
+    @property
+    def size(self) -> int:
+        """The expanded operand count: a rectangle counts by its area."""
+        return sum(map(range_size, self.refs)) + len(self.operands)
+
+    def cells(self) -> list[tuple[CellAddress, bool, bool]]:
+        """Every referenced cell with its flags, once per reference, sorted.
+
+        Cells sort row-major, then by flags: the order of the cell operands
+        in the expanded chain, where they precede all other operands.  A
+        rectangle over the range limit raises RangeCapacityError, as in
+        `range_addresses`.
+        """
+        return sorted(
+            (address, ref.start.col_absolute, ref.start.row_absolute)
+            for ref in self.refs
+            for address in range_addresses(ref)
+        )
+
+
+FormulaAst = NumberLit | TextLit | BoolLit | CellRef | RangeRef | Unary | Binary | FuncCall | Chain
 
 
 def range_size(ref: RangeRef) -> int:
@@ -153,8 +189,21 @@ def range_addresses(ref: RangeRef) -> list[CellAddress]:
         raise RangeCapacityError(
             f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {DEFAULT_RANGE_LIMIT}"
         )
-    sheet, top, left = ref.start.address
-    _, bottom, right = ref.end.address
+    return _cells(*_box(ref))
+
+
+# A rectangle of cells on one sheet: (sheet, top, left, bottom, right).
+_Box = tuple[str, int, int, int, int]
+
+
+def _box(ref: CellRef | RangeRef) -> _Box:
+    start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
+    sheet, top, left = start.address
+    _, bottom, right = end.address
+    return sheet, top, left, bottom, right
+
+
+def _cells(sheet: str, top: int, left: int, bottom: int, right: int) -> list[CellAddress]:
     # Every member lies between two valid corners, so the members are built
     # as (sheet, row, col) tuples directly, without the constructor's check.
     new = tuple.__new__
@@ -476,6 +525,8 @@ def child_nodes(node: FormulaAst) -> tuple[FormulaAst, ...]:
         return (node.left, node.right)
     if isinstance(node, FuncCall):
         return node.args
+    if isinstance(node, Chain):
+        return node.refs + node.operands
     return ()
 
 
@@ -497,6 +548,9 @@ def walk_ast(ast: FormulaAst) -> Iterator[FormulaAst]:
             stack.append(node.operand)
         elif isinstance(node, FuncCall):
             stack.extend(reversed(node.args))
+        elif isinstance(node, Chain):
+            stack.extend(reversed(node.operands))
+            stack.extend(reversed(node.refs))
 
 
 def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
@@ -514,18 +568,159 @@ def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
 
 
 # --------------------------------------------------------------------------
+# Rectangle arithmetic
+# --------------------------------------------------------------------------
+
+
+def _cover(boxes: list[tuple[int, int, int, int, int]]) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Pieces of constant total weight under weighted boxes on one sheet.
+
+    Each box is (top, left, bottom, right, weight).  The rows between two
+    consecutive box edges form a band, and in a band the columns between
+    two consecutive edges of its boxes form a piece.  Returns the bands
+    from the top as (top, bottom, pieces), each piece (left, right, weight)
+    with a weight that is not zero, left to right; bands without such a
+    piece are left out.  No cell is visited.
+    """
+    if len(boxes) == 1:
+        top, left, bottom, right, weight = boxes[0]
+        return [(top, bottom, [(left, right, weight)])] if weight else []
+    edges = sorted({box[0] for box in boxes} | {box[2] + 1 for box in boxes})
+    pending = sorted(boxes, reverse=True)  # popped from the end, by top row
+    active: list[tuple[int, int, int, int, int]] = []
+    bands = []
+    for top, next_edge in zip(edges, edges[1:]):
+        while pending and pending[-1][0] == top:
+            active.append(pending.pop())
+        active = [box for box in active if box[2] >= top]
+        deltas: dict[int, int] = {}
+        for _, left, _, right, weight in active:
+            deltas[left] = deltas.get(left, 0) + weight
+            deltas[right + 1] = deltas.get(right + 1, 0) - weight
+        pieces = []
+        level = start = 0
+        for col in sorted(deltas):
+            change = deltas[col]
+            if change:
+                if level:
+                    pieces.append((start, col - 1, level))
+                level += change
+                start = col
+        if pieces:
+            bands.append((top, next_edge - 1, pieces))
+    return bands
+
+
+def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The canonical decomposition of a multiset of cells given as boxes.
+
+    Layer k holds the cells covered k or more times.  Each layer splits
+    into maximal runs per row, and a run with the same columns in
+    consecutive rows grows one rectangle, so equal multisets give equal
+    rectangle lists whatever boxes they came as.
+    """
+    tops, lefts, bottoms, rights = zip(*boxes)
+    top, left, bottom, right = min(tops), min(lefts), max(bottoms), max(rights)
+    if tops == bottoms and lefts == rights and len(set(boxes)) == len(boxes) == (bottom - top + 1) * (right - left + 1):
+        return [(top, left, bottom, right)]  # distinct cells that fill their bounding box, as in A1+A2+A3
+    done: list[tuple[int, int, int, int]] = []
+    growing: dict[tuple[int, int, int], tuple[int, int]] = {}  # (layer, left, right) -> (top, bottom)
+    for top, bottom, pieces in _cover([(*box, 1) for box in boxes]):
+        runs: list[tuple[int, int, int]] = []
+        starts: list[int] = []  # starts[k]: first column of the open run of layer k + 1
+        end = 0
+        for left, right, level in pieces:
+            if starts and left != end + 1:  # a gap closes every layer
+                runs += [(k + 1, start, end) for k, start in enumerate(starts)]
+                starts = []
+            while len(starts) > level:
+                runs.append((len(starts), starts.pop(), left - 1))
+            while len(starts) < level:
+                starts.append(left)
+            end = right
+        runs += [(k + 1, start, end) for k, start in enumerate(starts)]
+        grown = {}
+        for run in runs:
+            above = growing.pop(run, None)
+            if above is not None and above[1] == top - 1:
+                grown[run] = (above[0], bottom)
+            else:
+                if above is not None:
+                    done.append((above[0], run[1], above[1], run[2]))
+                grown[run] = (top, bottom)
+        done += [(rows[0], left, rows[1], right) for (_, left, right), rows in growing.items()]
+        growing = grown
+    done += [(rows[0], left, rows[1], right) for (_, left, right), rows in growing.items()]
+    return done
+
+
+def distinct_cells(refs: Iterable[CellRef | RangeRef]) -> int:
+    """How many distinct cells the references cover, flags aside."""
+    by_sheet: dict[str, list[tuple[int, int, int, int, int]]] = {}
+    for ref in refs:
+        sheet, *box = _box(ref)
+        by_sheet.setdefault(sheet, []).append((*box, 1))
+    return sum(
+        (bottom - top + 1) * (right - left + 1)
+        for boxes in by_sheet.values()
+        for top, bottom, pieces in _cover(boxes)
+        for left, right, _ in pieces
+    )
+
+
+RefItem = tuple[CellAddress, bool, bool]
+
+
+def reference_difference(a: FormulaAst, b: FormulaAst) -> tuple[list[RefItem], list[RefItem]]:
+    """The cell references `a` has beyond `b`, and those `b` has beyond `a`.
+
+    Each formula references a multiset of (address, col_absolute,
+    row_absolute) items: one per CellRef and one per cell of a range,
+    which takes the flags of its start corner.  Both differences list
+    their items with multiplicity, sorted row-major.  Cells the two
+    formulas share are never expanded.
+    """
+    groups: dict[tuple[str, bool, bool], tuple[list, list]] = {}
+    for side, ast in enumerate((a, b)):
+        for node in walk_ast(ast):
+            if isinstance(node, (CellRef, RangeRef)):
+                start = node.start if isinstance(node, RangeRef) else node
+                sheet, *box = _box(node)
+                key = (sheet, start.col_absolute, start.row_absolute)
+                groups.setdefault(key, ([], []))[side].append(box)
+    missing: list[RefItem] = []
+    surplus: list[RefItem] = []
+    for (sheet, col_abs, row_abs), (mine, theirs) in groups.items():
+        if sorted(mine) == sorted(theirs):
+            continue
+        weighted = [(*box, 1) for box in mine] + [(*box, -1) for box in theirs]
+        for top, bottom, pieces in _cover(weighted):
+            for left, right, weight in pieces:
+                items = [(address, col_abs, row_abs) for address in _cells(sheet, top, left, bottom, right)]
+                (missing if weight > 0 else surplus).extend(items * abs(weight))
+    missing.sort()
+    surplus.sort()
+    return missing, surplus
+
+
+# --------------------------------------------------------------------------
 # Canonical forms
 # --------------------------------------------------------------------------
 
 _CHAIN_OPS = (BinOp.ADD, BinOp.MUL)
 
 
+def _rect_key(ref: RangeRef) -> tuple:
+    return (ref.start.address, ref.end.address, ref.start.col_absolute, ref.start.row_absolute)
+
+
 def node_key(node: FormulaAst) -> tuple:
     """Deterministic total order: references row-major, then literals by value.
 
     The key lists node labels in pre-order; a marker that sorts first closes
-    each function's arguments, so keys order ASTs node by node and equal keys
-    mean equal ASTs.  It is built, compared and hashed without recursion.
+    each function's arguments and each chain's operands, so keys order ASTs
+    node by node and equal keys mean equal ASTs.  A chain's rectangles are
+    one label.  It is built, compared and hashed without recursion.
     """
     key: list[object] = []
     stack: list[FormulaAst | None] = [node]
@@ -548,6 +743,10 @@ def node_key(node: FormulaAst) -> tuple:
         elif isinstance(node, Binary):
             key += (6, node.op.name)
             stack += (node.right, node.left)
+        elif isinstance(node, Chain):
+            # sorts among the Binary nodes by operator; -1 comes before any child's label
+            key += (6, node.op.name, -1, tuple(map(_rect_key, node.refs)))
+            stack += (None, *reversed(node.operands))  # None closes the operands
         elif isinstance(node, FuncCall):
             key += (7, node.name)
             stack += (None, *reversed(node.args))  # None closes the argument list
@@ -557,7 +756,7 @@ def node_key(node: FormulaAst) -> tuple:
 
 
 def chain_operands(node: FormulaAst, op: BinOp) -> list[FormulaAst]:
-    """Operands of the maximal `op` chain rooted at `node`, left to right.
+    """Operands of the maximal `op` chain of Binary nodes rooted at `node`, left to right.
 
     A node that is not an `op` Binary is its own single operand.
     """
@@ -573,49 +772,69 @@ def chain_operands(node: FormulaAst, op: BinOp) -> list[FormulaAst]:
     return operands
 
 
-def _chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
-    # Balanced shape: recursive equality, rendering and evaluation stay
-    # shallow even when a large range expands to thousands of operands.
-    if not operands:
-        return NumberLit(0.0)
-    if len(operands) == 1:
-        return operands[0]
-    mid = (len(operands) + 1) // 2
-    return Binary(op, _chain(operands[:mid], op), _chain(operands[mid:], op))
+def _canonical_chain(operands: list[FormulaAst], refs: list[CellRef | RangeRef], op: BinOp) -> FormulaAst:
+    """The canonical `op` chain over canonical operands and cell references.
 
-
-def _canonical_chain(operands: list[FormulaAst], op: BinOp) -> FormulaAst:
-    """Chain over canonical operands: nested `op` chains spliced, sorted once."""
-    flat: list[FormulaAst] = []
+    Operands that are `op` chains are spliced in, references coalesce
+    into rectangles per sheet and `$` flags, and the rest sort once.  No
+    range is expanded.
+    """
+    others: list[FormulaAst] = []
     for operand in operands:
-        flat.extend(chain_operands(operand, op))
-    flat.sort(key=node_key)
-    return _chain(flat, op)
-
-
-def _expand_operands(args: tuple[FormulaAst, ...]) -> list[FormulaAst]:
-    operands: list[FormulaAst] = []
-    for arg in args:
-        if isinstance(arg, RangeRef):
-            operands.extend(
-                CellRef(a, arg.start.col_absolute, arg.start.row_absolute)
-                for a in range_addresses(arg)
-            )
+        if isinstance(operand, Chain) and operand.op is op:
+            refs += operand.refs
+            others += operand.operands
+        elif isinstance(operand, CellRef):
+            refs.append(operand)
         else:
-            operands.append(arg)
-    return operands
+            others.append(operand)
+    groups: dict[tuple[str, bool, bool], list[CellRef | RangeRef]] = {}
+    for ref in refs:
+        start = ref.start if isinstance(ref, RangeRef) else ref
+        groups.setdefault((start.address.sheet, start.col_absolute, start.row_absolute), []).append(ref)
+    rects: list[RangeRef] = []
+    new = tuple.__new__
+    for (sheet, col_abs, row_abs), members in groups.items():
+        if len(members) == 1:  # one reference is its own decomposition
+            ref = members[0]
+            if isinstance(ref, CellRef):
+                rects.append(RangeRef(ref, ref))
+                continue
+            if ref.end.col_absolute is col_abs and ref.end.row_absolute is row_abs:
+                rects.append(ref)
+                continue
+        # a corner that is one of the chain's cells is reused, not rebuilt
+        corners = {ref.address: ref for ref in members if isinstance(ref, CellRef)}
+        for top, left, bottom, right in _rectangles([_box(ref)[1:] for ref in members]):
+            start, end = new(CellAddress, (sheet, top, left)), new(CellAddress, (sheet, bottom, right))
+            rects.append(
+                RangeRef(
+                    corners.get(start) or CellRef(start, col_abs, row_abs),
+                    corners.get(end) or CellRef(end, col_abs, row_abs),
+                )
+            )
+    size = sum(map(range_size, rects)) + len(others)
+    if size == 0:
+        return NumberLit(0.0)
+    if size == 1:
+        return rects[0].start if rects else others[0]
+    rects.sort(key=_rect_key)
+    others.sort(key=node_key)
+    return Chain(op, tuple(rects), tuple(others))
 
 
 def canonicalize(ast: FormulaAst) -> FormulaAst:
     """Rewrite an AST to its canonical comparison form.
 
-    SUM and AVG calls expand to explicit chains (AVG divides by the static
-    operand count), ranges inside those rewrites expand to cell lists,
-    maximal "+" and "*" chains are flattened, with nested chains of the
-    same operator spliced in, and their operands sorted (references first,
-    row-major, then literals by value), and double negation is dropped.
-    No constant folding happens.  The rewrite is one bottom-up pass whose
-    result is its own canonical form; chains are built as balanced trees.
+    Maximal "+" and "*" chains become one `Chain` each, with nested chains
+    of the same operator spliced in.  SUM becomes a "+" chain of its
+    arguments and AVG that chain divided by the static operand count, a
+    range counting by its area.  A chain's cell references, from ranges
+    and single cells alike, coalesce into rectangles; its other operands
+    are sorted.  Double negation is dropped and no constant folding
+    happens.  The rewrite is one bottom-up pass whose result is its own
+    canonical form, and it expands no range: a chain over a 10,000-cell
+    range is one node holding one rectangle.
     """
     if isinstance(ast, Unary):
         operand = canonicalize(ast.operand)
@@ -627,7 +846,7 @@ def canonicalize(ast: FormulaAst) -> FormulaAst:
             # The chain's operands come off the input tree without recursing
             # along it, so a left-deep n-term chain costs one sort, not n.
             operands = [canonicalize(operand) for operand in chain_operands(ast, ast.op)]
-            return _canonical_chain(operands, ast.op)
+            return _canonical_chain(operands, [], ast.op)
         # Other chains such as A1-A2-...-An stay left-deep: fold the left
         # spine in a loop instead of recursing down it.
         spine = []
@@ -639,14 +858,18 @@ def canonicalize(ast: FormulaAst) -> FormulaAst:
             node = Binary(parent.op, node, canonicalize(parent.right))
         return node
     if isinstance(ast, FuncCall):
-        args = tuple(canonicalize(arg) for arg in ast.args)
+        args = [canonicalize(arg) for arg in ast.args]
         if ast.name in ("SUM", "AVG"):
-            operands = _expand_operands(args)
-            total = _canonical_chain(operands, BinOp.ADD)
+            ranges = [arg for arg in args if isinstance(arg, RangeRef)]
+            operands = [arg for arg in args if not isinstance(arg, RangeRef)]
+            count = sum(map(range_size, ranges)) + len(operands)
+            total = _canonical_chain(operands, ranges, BinOp.ADD)
             if ast.name == "SUM":
                 return total
-            return Binary(BinOp.DIV, total, NumberLit(float(len(operands))))
-        return FuncCall(ast.name, args)
+            return Binary(BinOp.DIV, total, NumberLit(float(count)))
+        return FuncCall(ast.name, tuple(args))
+    if isinstance(ast, Chain):
+        return _canonical_chain([canonicalize(operand) for operand in ast.operands], list(ast.refs), ast.op)
     return ast
 
 
@@ -679,7 +902,7 @@ _BIN_PREC = {
 
 
 def _prec(node: FormulaAst) -> int:
-    if isinstance(node, Binary):
+    if isinstance(node, (Binary, Chain)):
         return _BIN_PREC[node.op]
     if isinstance(node, Unary):
         return _PREC_UNARY
@@ -700,7 +923,9 @@ def render_reference(node: CellRef | RangeRef, sheet: str | None = None) -> str:
 def render_formula(ast: FormulaAst, sheet: str = DEFAULT_SHEET) -> str:
     """Pretty-print an AST with minimal parentheses; no leading "=".
 
-    Parsing "=" + the result reproduces the AST, whitespace aside.
+    Parsing "=" + the result reproduces the AST, whitespace aside.  A
+    `Chain` renders as the left-deep chain of its expanded operands, whose
+    canonical form is that chain again.
     """
     if isinstance(ast, NumberLit):
         return format_number(ast.value)
@@ -740,5 +965,13 @@ def render_formula(ast: FormulaAst, sheet: str = DEFAULT_SHEET) -> str:
             pieces.append(parent.op.symbol)
             pieces.append(f"({right})" if wrap_right else right)
         return "(" * opened + "".join(pieces)
+    if isinstance(ast, Chain):
+        # As the left-deep chain of its expanded operands, cells first
+        pieces = [render_reference(CellRef(*cell), sheet) for cell in ast.cells()]
+        for operand in ast.operands:
+            text = render_formula(operand, sheet)
+            wrap = _prec(operand) <= _BIN_PREC[ast.op] if pieces else _prec(operand) < _BIN_PREC[ast.op]
+            pieces.append(f"({text})" if wrap else text)
+        return ast.op.symbol.join(pieces)
     args = ",".join(render_formula(arg, sheet) for arg in ast.args)
     return f"{ast.name}({args})"

@@ -18,14 +18,15 @@ from .formulas import (
     BinOp,
     BoolLit,
     CellRef,
+    Chain,
     FormulaAst,
     FuncCall,
     NumberLit,
     RangeRef,
     TextLit,
     canonicalize,
-    chain_operands,
     child_nodes,
+    distinct_cells,
     node_key,
     range_size,
     walk_ast,
@@ -193,36 +194,34 @@ def _mentions_function(ast: FormulaAst, name: str) -> bool:
 
 
 def _avg_pattern_operands(ast: FormulaAst) -> int | None:
-    """Operand count when the AST is (sum of n distinct refs) / n, else None."""
-    if not (isinstance(ast, Binary) and ast.op is BinOp.DIV):
+    """Operand count when the canonical AST is (sum of n distinct refs) / n, else None."""
+    if not (isinstance(ast, Binary) and ast.op is BinOp.DIV and isinstance(ast.right, NumberLit)):
         return None
-    if not isinstance(ast.right, NumberLit):
+    total = ast.left
+    if isinstance(total, CellRef):
+        count = 1
+    elif isinstance(total, Chain) and total.op is BinOp.ADD and not total.operands:
+        count = total.size
+    else:
         return None
-    operands = chain_operands(ast.left, BinOp.ADD)
-    if not all(isinstance(op, CellRef) for op in operands):
+    if float(count) != ast.right.value:
         return None
-    addresses = {op.address for op in operands}
-    if len(addresses) != len(operands):
+    if isinstance(total, Chain) and distinct_cells(total.refs) != count:
         return None
-    if float(len(operands)) != ast.right.value:
-        return None
-    return len(operands)
+    return count
 
 
-def _add_chains(ast: FormulaAst) -> list[list[FormulaAst]]:
-    """Maximal "+" chains, skipping numerators that form a written-out average."""
-    chains: list[list[FormulaAst]] = []
+def _add_chains(ast: FormulaAst) -> list[Chain]:
+    """Canonical "+" chains, skipping numerators that form a written-out average."""
+    chains: list[Chain] = []
     stack = [ast]
     while stack:
         node = stack.pop()
         if _avg_pattern_operands(node) is not None:
             continue  # that chain belongs to the AVG idiom
-        if isinstance(node, Binary) and node.op is BinOp.ADD:
-            children = chain_operands(node, BinOp.ADD)  # canonical operands are never ADD nodes
-            chains.append(children)
-        else:
-            children = child_nodes(node)
-        stack.extend(reversed(children))
+        if isinstance(node, Chain) and node.op is BinOp.ADD:
+            chains.append(node)
+        stack.extend(reversed(child_nodes(node)))
     return chains
 
 
@@ -248,8 +247,9 @@ def idiom_suggestions(analysis: WorkbookAnalysis, config: QualityConfig) -> list
             continue
 
         for chain in _add_chains(canonical):
-            refs = {op.address for op in chain if isinstance(op, CellRef)}
-            if len(refs) > config.min_idiom_operands and not _mentions_function(original, "SUM"):
+            # a chain never covers more distinct cells than its size
+            long = chain.size > config.min_idiom_operands and distinct_cells(chain.refs) > config.min_idiom_operands
+            if long and not _mentions_function(original, "SUM"):
                 by_function.setdefault("SUM", []).append(address)
                 break
 

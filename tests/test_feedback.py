@@ -6,6 +6,7 @@ import pytest
 
 from sheetcheck import (
     DiagnosisKind,
+    Fragment,
     IdiomSuggestion,
     Status,
     TaskBundle,
@@ -107,6 +108,81 @@ def test_level_6_canonicalizes_each_formula_error_once(grades, monkeypatch):
     submitted = [parse_formula(grades.submission.cell(a).content.source, a.sheet) for a in errors]
     assert len(submitted) == 2
     assert [calls[ast] for ast in submitted] == [1, 1]
+
+
+def _cells_expanded_while_diffing(monkeypatch):
+    """A counter of the cells that rectangles expand to inside diff_formula."""
+    from sheetcheck import feedback, formulas
+
+    counted = {"active": False, "cells": 0}
+    cells, diff = formulas._cells, feedback.diff_formula
+
+    def counting_cells(*box):
+        found = cells(*box)
+        counted["cells"] += len(found) if counted["active"] else 0
+        return found
+
+    def counting_diff(*args):
+        counted["active"] = True
+        try:
+            return diff(*args)
+        finally:
+            counted["active"] = False
+
+    monkeypatch.setattr(formulas, "_cells", counting_cells)
+    monkeypatch.setattr(feedback, "diff_formula", counting_diff)
+    return counted
+
+
+def _range_task(reference_range, submitted_range):
+    constants = {f"{col}{row}": 1 for row in range(1, 102) for col in ("A", "B", "CU", "CV")}
+    constants.update({"C1": 1, "CV101": 1})
+    reference = make_workbook({**constants, "A103": f"=SUM({reference_range})"})
+    submission = make_workbook({**constants, "A103": f"=SUM({submitted_range})"})
+    return TaskBundle("ranges", reference), submission
+
+
+def _formula_errors(report):
+    return [d for d in report.diagnoses if d.kind is DiagnosisKind.FORMULA_ERROR]
+
+
+def test_level_6_report_on_a_short_range_expands_no_cell(monkeypatch):
+    bundle, submission = _range_task("A1:CV100", "A1:CV99")
+    expanded = _cells_expanded_while_diffing(monkeypatch)
+    (diagnosis,) = _formula_errors(generate_feedback(bundle, submission, 6))
+    # the operator count tells the two apart: one "+" per missing cell
+    assert diagnosis.detail.expected == (Fragment("operator", "+"),) * 100
+    assert expanded["cells"] == 0
+
+
+def test_level_6_report_on_a_shifted_range_expands_only_the_differing_cells(monkeypatch):
+    bundle, submission = _range_task("A1:CV100", "A2:CV101")
+    expanded = _cells_expanded_while_diffing(monkeypatch)
+    (diagnosis,) = _formula_errors(generate_feedback(bundle, submission, 6))
+    detail = diagnosis.detail
+    assert detail.expected == (Fragment("reference", "A1:CV100", is_range=True),)
+    assert len(detail.found) == 100 and detail.found[0] == Fragment("reference", "A101")
+    assert expanded["cells"] == 200  # row 1 missing, row 101 surplus; not the 9,900 shared
+
+
+def test_a_second_report_canonicalizes_no_reference_formula(grades, monkeypatch):
+    import dataclasses
+
+    import sheetcheck.diffing as diffing
+    import sheetcheck.quality as quality
+
+    bundle = dataclasses.replace(grades.bundle)  # nothing cached yet
+    calls = []
+    for module in (diffing, quality):
+        canonicalize = module.canonicalize
+        monkeypatch.setattr(module, "canonicalize", lambda ast, c=canonicalize: calls.append(ast) or c(ast))
+    submitted = len(list(grades.submission.formula_cells()))
+    reference = len(list(bundle.reference.formula_cells()))
+    generate_feedback(bundle, grades.submission, 6)
+    assert len(calls) == submitted + reference
+    calls.clear()
+    assert _formula_errors(generate_feedback(bundle, grades.submission, 6))
+    assert len(calls) == submitted
 
 
 def test_pass_path_level_1(grades):
@@ -432,6 +508,20 @@ def test_bundle_bad_graded_cell_is_config_error():
 def test_bundle_malformed_section_is_config_error(field, value, name):
     doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
     with pytest.raises(TaskConfigError, match=f"field '{re.escape(name)}'"):
+        load_bundle(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("tolerance", {"abs": -1}, "tolerance.abs"),
+        ("quality", {"factor": 0.5}, "quality.factor"),
+        ("quality", {"min_idiom_operands": 1}, "quality.min_idiom_operands"),
+    ],
+)
+def test_bundle_threshold_out_of_range_is_config_error(field, value, name):
+    doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
+    with pytest.raises(TaskConfigError, match=f"field '{re.escape(name)}' is out of range"):
         load_bundle(doc)
 
 

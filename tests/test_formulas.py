@@ -17,6 +17,7 @@ from sheetcheck.formulas import (
     BinOp,
     BoolLit,
     CellRef,
+    Chain,
     FuncCall,
     NumberLit,
     RangeRef,
@@ -31,6 +32,10 @@ from conftest import addr, make_workbook, texts
 
 def ref(text):
     return CellRef(addr(text))
+
+
+def rect(start, end):
+    return RangeRef(ref(start), ref(end))
 
 
 def test_parse_subtraction_over_division():
@@ -199,12 +204,16 @@ def test_canonical_avg_equals_spelled_out_average():
 
 def test_canonical_fixpoint_on_plain_average():
     ast = parse_formula("=(B3+B4+B5)/3")
-    assert canonicalize(ast) == ast
+    canonical = canonicalize(ast)
+    assert canonical == Binary(BinOp.DIV, Chain(BinOp.ADD, (rect("B3", "B5"),), ()), NumberLit(3.0))
+    assert canonicalize(canonical) == canonical
+    assert parse_formula("=" + render_formula(canonical)) == ast
 
 
 def test_canonical_sum_plus_zero_no_folding():
     canonical = canonicalize(parse_formula("=SUM(A1:A2)+0"))
-    assert canonical == parse_formula("=(A1+A2)+0")
+    assert canonical == Chain(BinOp.ADD, (rect("A1", "A2"),), (NumberLit(0.0),))
+    assert canonical == canonicalize(parse_formula("=(A1+A2)+0"))
     assert render_formula(canonical) == "A1+A2+0"
 
 
@@ -240,7 +249,7 @@ def test_canonical_nested_avg_inside_round():
     assert canonical == FuncCall(
         "ROUND",
         (
-            Binary(BinOp.DIV, Binary(BinOp.ADD, ref("A1"), ref("A2")), NumberLit(2.0)),
+            Binary(BinOp.DIV, Chain(BinOp.ADD, (rect("A1", "A2"),), ()), NumberLit(2.0)),
             NumberLit(2.0),
         ),
     )
@@ -332,15 +341,58 @@ def test_canonical_empty_aggregates_preserve_semantics():
 
 
 def test_canonical_large_range_stays_within_limits():
-    # 900-cell expansion: equality, rendering and evaluation must not blow up
+    # a 900-cell range: equality, rendering and evaluation must not blow up
     from sheetcheck import evaluate_ast
 
     ast = parse_formula("=SUM(A1:AD30)")
     canonical = canonicalize(ast)
+    assert canonical == Chain(BinOp.ADD, (rect("A1", "AD30"),), ()) and canonical.size == 900
     assert canonicalize(canonical) == canonical
     assert len(references_of(canonical)) == 900
     assert evaluate_ast(canonical, {}).value == 0.0
-    render_formula(canonical)
+    rendered = render_formula(canonical)
+    assert rendered.count("+") == 899
+    assert canonicalize(parse_formula("=" + rendered)) == canonical
+
+
+def test_canonicalizing_a_large_range_expands_no_range(monkeypatch):
+    from sheetcheck import formulas
+
+    expanded = []
+    for name in ("range_addresses", "_cells"):
+        expand = getattr(formulas, name)
+        monkeypatch.setattr(formulas, name, lambda *args, expand=expand: expanded.append(args) or expand(*args))
+    canonical = canonicalize(parse_formula("=SUM(A1:CV100)"))
+    assert canonical == Chain(BinOp.ADD, (rect("A1", "CV100"),), ()) and canonical.size == 10_000
+    assert canonicalize(parse_formula("=AVG(A1:CV100)+SUM(A1:CV100,A2)")).operands[0].right == NumberLit(10_000.0)
+    assert expanded == []
+
+
+def test_canonical_rectangles_keep_duplicates_and_flags():
+    assert canon("=SUM(A1:A3,A2)") == Chain(BinOp.ADD, (rect("A1", "A3"), rect("A2", "A2")), ())
+    assert canon("=SUM(A1:A3,A2)") == canon("=A2+SUM(A2:A3)+A1") == canon("=SUM(A1:A2,A2:A3)")
+    assert canon("=SUM(A1:B2)+A3+B3") == canon("=SUM(A1:B3)") == canon("=SUM(A1:A3,B1:B3)")
+    assert canon("=A1+$A$2+A3") != canon("=A1+A2+A3")
+    assert canon("=SUM($A$1:A2)") == canon("=$A$1+$A$2") != canon("=SUM(A1:$A$2)")
+    # a range used as a "+" operand is not its cells
+    assert canon("=A1:A2+1") != canon("=A1+A2+1")
+
+
+def test_chain_evaluates_as_the_expanded_balanced_tree():
+    from canonical_oracle import oracle_canonicalize
+    from sheetcheck import evaluate_ast
+    from sheetcheck.evaluate import BAD_REF, DIV_ZERO
+    from sheetcheck.grid import Number
+
+    # (A1+A2)+(A3+A4) stays finite where ((A1+A2)+A3)+A4 overflows
+    grid = {addr("A1"): Number(0.0), addr("A2"): Number(1e308), addr("A3"): Number(1e308), addr("A4"): Number(-1e308)}
+    for source in ("=A1+A2+A3+A4", "=SUM(A1:A4)"):
+        ast = parse_formula(source)
+        assert evaluate_ast(canonicalize(ast), grid) == evaluate_ast(oracle_canonicalize(ast), grid) == Number(1e308)
+    # cells run row-major across flag groups, so B1's error comes before A2's
+    grid = {addr("A1"): Number(1.0), addr("A2"): DIV_ZERO, addr("B1"): BAD_REF, addr("B2"): Number(1.0)}
+    ast = parse_formula("=A1+A2+$B$1+$B$2")
+    assert evaluate_ast(canonicalize(ast), grid) == evaluate_ast(oracle_canonicalize(ast), grid) == BAD_REF
 
 
 # ---------------------------------------------------------------- depth limits
@@ -397,9 +449,10 @@ def test_canonical_long_left_deep_chain_keeps_its_shape(op):
 def test_canonical_sorts_a_long_difference_inside_a_sum():
     difference = "-".join(f"A{i}" for i in range(1, 5001))
     canonical = canonicalize(parse_formula(f"=({difference})+B1"))
-    assert canonical.op is BinOp.ADD and canonical.left == ref("B1")
+    assert canonical.op is BinOp.ADD and canonical.refs == (rect("B1", "B1"),)
+    (sorted_difference,) = canonical.operands
     # ASTs this deep compare by node_key: dataclass equality would recurse
-    assert node_key(canonical.right) == node_key(parse_formula(f"={difference}"))
+    assert node_key(sorted_difference) == node_key(parse_formula(f"={difference}"))
     assert node_key(canonical) == node_key(canonicalize(parse_formula(f"=B1+({difference})")))
 
 

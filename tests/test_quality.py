@@ -183,6 +183,11 @@ def test_avg_suggested_for_sum_divided_by_count():
     assert findings == [IdiomSuggestion("AVG", (addr("A6"),))]
 
 
+def test_avg_not_suggested_when_a_cell_repeats():
+    wb = make_workbook({"A1": 1, "A2": 2, "B1": "=(A1+A2+A2)/3", "B2": "=(A1+$A$1+A2)/3", "B3": "=SUM(A1:A2,A2)/3"})
+    assert idiom_suggestions(analyze(wb), QualityConfig()) == []
+
+
 def test_repeated_reference_is_not_a_distinct_chain():
     wb = make_workbook({"A1": 1, "A2": 2, "A6": "=A1+A1+A2+A2+A1"})
     assert idiom_suggestions(analyze(wb), QualityConfig()) == []
