@@ -82,7 +82,7 @@ def values_equal(a: Value, b: Value, tolerance: Tolerance = DEFAULT_TOLERANCE) -
     transitive.
     """
     if isinstance(a, Number) and isinstance(b, Number):
-        return tolerance.close(a.value, b.value)
+        return a.value == b.value or tolerance.close(a.value, b.value)
     if isinstance(a, Text) and isinstance(b, Text):
         return a.value.strip() == b.value.strip()
     if isinstance(a, Boolean) and isinstance(b, Boolean):
@@ -133,11 +133,12 @@ def _numeric_operands(args: list[Value]) -> list[float] | CellError:
     """Aggregate view of arguments: blanks and text are skipped."""
     numbers = []
     for value in args:
-        if isinstance(value, CellError):
+        if isinstance(value, Number):
+            numbers.append(value.value)
+        elif isinstance(value, CellError):
             return value
-        if isinstance(value, (Blank, Text)):
-            continue
-        numbers.append(1.0 if isinstance(value, Boolean) else value.value)
+        elif isinstance(value, Boolean):
+            numbers.append(1.0)
     return numbers
 
 
@@ -465,7 +466,8 @@ def evaluate(workbook: Workbook, contents: Contents | None = None) -> dict[CellA
     if contents is None:
         contents = workbook_contents(workbook)
     sheets = frozenset(workbook.sheet_names())
-    memo: dict[CellAddress, Value] = {}
+    memo = {address: content for address, content in contents.items() if isinstance(content, VALUE_TYPES)}
     for address in contents:
-        cell_value(contents, sheets, address, memo)
-    return {address: value for address, value in memo.items() if address.sheet in sheets}
+        if address not in memo:  # a formula cell not yet reached through a reference
+            cell_value(contents, sheets, address, memo)
+    return memo  # cell_value memoizes no cell on a sheet outside `sheets`

@@ -69,11 +69,11 @@ class WorkbookAnalysis:
     `contents` maps each cell, in workbook order, to its value or, for a
     formula cell, its parsed AST (see `evaluate.workbook_contents`); the
     workbook is parsed here when they are not given.  `formulas` maps each
-    formula cell, row-major, to its AST and `canonical` to its canonical
-    form; the graph, metrics and quality checks read formulas only from
-    here.  Those and the graph and metrics are computed on first use.  The
-    reference of a task bundle is analysed once per bundle, a submission
-    once per report.
+    formula cell, in the same order, to its AST and `canonical` to its
+    canonical form; the graph, metrics and quality checks read formulas
+    only from here.  Those and the graph and metrics are computed on first
+    use.  The reference of a task bundle is analysed once per bundle, a
+    submission once per report.
     """
 
     def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value], contents: Contents | None = None):

@@ -558,13 +558,14 @@ def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
 
     Ranges expand to individual addresses; absoluteness flags are dropped.
     """
-    addresses: set[CellAddress] = set()
+    found: list[CellAddress] = []
     for node in walk_ast(ast):
         if isinstance(node, CellRef):
-            addresses.add(node.address)
+            found.append(node.address)
         elif isinstance(node, RangeRef):
-            addresses.update(range_addresses(node))
-    return row_major(addresses)
+            found += range_addresses(node)
+    # A range expands row-major, so the sort only merges a few sorted runs.
+    return row_major(dict.fromkeys(found))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
@@ -53,8 +54,8 @@ class DependencyGraph:
         Nodes left out lie on a cycle or reference one, directly or through
         other cells.  Sinks come first; the order is deterministic.
         """
-        unresolved = {node: len(self.out_edges.get(node, ())) for node in self.nodes}
-        order = [node for node in self.nodes if not unresolved[node]]
+        unresolved = dict(zip(self.out_edges, map(len, self.out_edges.values())))
+        order = list(self.terminal_nodes[1])  # the sinks
         for node in order:  # the list grows while it is walked
             for source in self.in_edges.get(node, ()):
                 unresolved[source] -= 1
@@ -62,38 +63,66 @@ class DependencyGraph:
                     order.append(source)
         return tuple(order)
 
+    @cached_property
+    def terminal_nodes(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
+        """(outputs, inputs); see `terminals`."""
+        return (
+            tuple(filterfalse(self.in_edges.get, self.nodes)),
+            tuple(filterfalse(self.out_edges.get, self.nodes)),
+        )
+
 
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     """Build the dependency graph of an analysed workbook, annotated with its grid values.
 
     The edges come from the analysis's parsed formulas.  References to
     absent cells create nodes annotated Blank; references to nonexistent
-    sheets create nodes annotated BAD_REF.
+    sheets create nodes annotated BAD_REF.  A node that is a workbook cell
+    is the workbook's own address object, and equal in-edge tuples are
+    one shared tuple, so the cells of a large range cost the graph two
+    dict entries each.
     """
-    sheet_names = set(analysis.workbook.sheet_names())
-    nodes: set[CellAddress] = set()
+    formulas, grid = analysis.formulas, analysis.grid
+    own = {address: address for address in analysis.contents}
     out_edges: dict[CellAddress, tuple[CellAddress, ...]] = {}
-    targets: dict[CellAddress, list[CellAddress]] = {}
-    for address, ast in analysis.formulas.items():
-        refs = references_of(ast)
-        nodes.add(address)
-        nodes.update(refs)
+    in_edges: dict[CellAddress, tuple[CellAddress, ...] | list[CellAddress]] = {}
+    # Formula cells in row-major order, so every in-edge list comes out
+    # sorted.  A first source is stored as the formula's shared one-element
+    # tuple; a second turns the entry into a list.
+    for address in row_major(formulas):
+        refs = references_of(formulas[address])
+        refs = tuple(map(own.get, refs, refs))
         out_edges[address] = refs
+        single = (address,)
         for ref in refs:
-            targets.setdefault(ref, []).append(address)
-    in_edges = {node: row_major(sources) for node, sources in targets.items()}
-    values = {
-        node: analysis.grid.get(node, BLANK if node.sheet in sheet_names else BAD_REF)
-        for node in nodes
-    }
-    return DependencyGraph(row_major(nodes), values, out_edges, in_edges)
+            sources = in_edges.get(ref)
+            if sources is None:
+                in_edges[ref] = single
+            elif type(sources) is tuple:
+                in_edges[ref] = [*sources, address]
+            else:
+                sources.append(address)
+    shared: dict[tuple[CellAddress, ...], tuple[CellAddress, ...]] = {}
+    for node, sources in in_edges.items():
+        if type(sources) is list:
+            sources = tuple(sources)
+            in_edges[node] = shared.setdefault(sources, sources)
+    # The keys come in row-major runs, which the sort merges in about linear time.
+    nodes = row_major({**out_edges, **in_edges})
+    values: dict[CellAddress, Value] = dict(zip(nodes, map(grid.get, nodes, repeat(BLANK))))
+    sheet_names = set(analysis.workbook.sheet_names())
+    for node in in_edges.keys() - own.keys():  # referenced cells that hold nothing
+        if node.sheet not in sheet_names:
+            values[node] = BAD_REF
+    return DependencyGraph(nodes, values, out_edges, in_edges)
 
 
 def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
-    """(outputs, inputs): nodes without incoming and without outgoing edges."""
-    outputs = tuple(n for n in graph.nodes if not graph.in_edges.get(n))
-    inputs = tuple(n for n in graph.nodes if not graph.out_edges.get(n))
-    return outputs, inputs
+    """(outputs, inputs): nodes without incoming and without outgoing edges.
+
+    Computed once per graph, on the first call.
+    """
+    return graph.terminal_nodes
 
 
 def _find_cycle(graph: DependencyGraph) -> tuple[CellAddress, ...] | None:
@@ -133,8 +162,10 @@ def longest_chain(graph: DependencyGraph) -> int:
     if len(graph.acyclic_order) < len(graph.nodes):
         raise CycleError(_find_cycle(graph))
     depth: dict[CellAddress, int] = {}
+    out_edges = graph.out_edges
     for node in graph.acyclic_order:
-        depth[node] = 1 + max((depth[n] for n in graph.out_edges.get(node, ())), default=-1)
+        edges = out_edges.get(node)
+        depth[node] = 1 + max(map(depth.__getitem__, edges)) if edges else 0
     return max(depth.values(), default=0)
 
 

@@ -290,7 +290,7 @@ def _classify(raw: Any, address: CellAddress) -> CellContent:
     if isinstance(raw, (int, float)):
         try:
             return Number(float(raw))
-        except ValueError as exc:  # e.g. 1e999 overflows to infinity
+        except (ValueError, OverflowError) as exc:  # 1e999 is infinite, 10**400 too large
             raise WorkbookFormatError(f"cell {address.text(qualified=True)}: {exc}") from exc
     if isinstance(raw, str):
         if raw.startswith("="):
@@ -314,11 +314,18 @@ def _sheet_from_doc(doc: Any, position: str) -> Sheet:
     if not isinstance(cells_doc, dict):
         raise WorkbookFormatError(f"sheet {name!r}: cells must be an object")
     cells: dict[CellAddress, Cell] = {}
+    columns: dict[str, int] = {}  # column index by letters
     for key, raw in cells_doc.items():
         match = _STRICT_KEY_RE.fullmatch(key)
         if not match:
             raise WorkbookFormatError(f"sheet {name!r}: bad cell address key {key!r}")
-        address = CellAddress(name, column_index(match.group(1)), int(match.group(2)))
+        letters, row = match.groups()
+        col = columns.get(letters)
+        if col is None:
+            col = columns[letters] = column_index(letters)
+        # The key pattern admits no row or column below 1, which is all
+        # CellAddress checks; build the (sheet, row, col) tuple directly.
+        address = tuple.__new__(CellAddress, (name, int(row), col))
         cells[address] = Cell(address, _classify(raw, address))
     return Sheet(name, cells)
 
@@ -350,7 +357,9 @@ def read_workbook(text: str) -> Workbook:
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicates, parse_constant=_reject_nonfinite)
-    except json.JSONDecodeError as exc:
+    except WorkbookFormatError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise WorkbookFormatError(f"invalid workbook JSON: {exc}") from exc
     return workbook_from_doc(doc)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal
 from .graph import terminals
@@ -47,8 +47,7 @@ class ComparePhase(Enum):
     RE_EVALUATE = "re_evaluate"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     address: CellAddress
     phase: ComparePhase
     solution: Value
@@ -84,7 +83,8 @@ def match_values(
     reference_edges = reference.graph.out_edges
     submission_grid = submission.grid
     dependents = submission.graph.in_edges
-    cyclic = set(submission.graph.nodes).difference(submission.graph.acyclic_order)
+    nodes, acyclic = submission.graph.nodes, submission.graph.acyclic_order
+    cyclic = set(nodes).difference(acyclic) if len(acyclic) < len(nodes) else frozenset()
 
     working = dict(submission.contents)
     working_sheets = set(submission.workbook.sheet_names())
@@ -100,17 +100,25 @@ def match_values(
     formula_errors: list[CellAddress] = []
     replacements: dict[CellAddress, Value] = {}
     trace: list[TraceEntry] = []
+    # Trace entries are built by tuple.__new__, which skips the Python-level
+    # __new__ of a NamedTuple.
+    new, FIRST, AGAIN = tuple.__new__, ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
-    def enter(address: CellAddress) -> list:
-        """First comparison; returns the walk frame [address, solution, first_ok, next child]."""
-        visited.add(address)
-        solution = reference_grid.get(address, BLANK)
-        first = submission_grid.get(address, BLANK)
-        first_ok = values_equal(solution, first, tolerance)
-        trace.append(TraceEntry(address, ComparePhase.FIRST_COMPARE, solution, first, first_ok))
-        if not first_ok:
-            value_errors.append(address)
-        return [address, solution, first_ok, 0]
+    def re_evaluate(address: CellAddress, solution: Value, first: Value, first_ok: bool) -> None:
+        if address in cyclic:
+            current = cell_value(working, working_sheets, address, memo={})
+        else:
+            current = memo.get(address)
+            if current is None:
+                current = cell_value(working, working_sheets, address, memo)
+        # values_equal is deterministic, so the submission's own value object
+        # keeps the first compare's verdict.
+        re_ok = first_ok if current is first else values_equal(solution, current, tolerance)
+        trace.append(new(TraceEntry, (address, AGAIN, solution, current, re_ok)))
+        if not re_ok:
+            if not first_ok:
+                formula_errors.append(address)
+            correct(address, solution)
 
     def correct(address: CellAddress, solution: Value) -> None:
         working[address] = solution
@@ -129,32 +137,36 @@ def match_values(
                         stack.append(dependent)
         memo[address] = solution
 
-    for root in roots:
-        if root in visited:
-            continue
-        stack = [enter(root)]  # post-order walk of the reference graph
-        while stack:
-            frame = stack[-1]
-            address, solution, first_ok, index = frame
-            children = reference_edges.get(address, ())
-            if index < len(children):
-                frame[3] += 1
-                if children[index] not in visited:
-                    stack.append(enter(children[index]))
+    # Post-order walk of the reference graph.  A frame holds a cell, its
+    # first compare and an iterator over its children; the bottom frame
+    # holds no cell, and its children are the roots.  A leaf, a cell
+    # without out-edges, gets no frame: it is re-evaluated right after its
+    # first compare.
+    stack: list[tuple] = [(None, None, None, None, iter(roots))]
+    while stack:
+        for address in stack[-1][4]:
+            if address in visited:
                 continue
-            stack.pop()
-            if address in cyclic:
-                current = cell_value(working, working_sheets, address, memo={})
-            elif address in memo:
-                current = memo[address]
+            visited.add(address)
+            solution = reference_grid.get(address, BLANK)
+            first = submission_grid.get(address, BLANK)
+            first_ok = values_equal(solution, first, tolerance)
+            trace.append(new(TraceEntry, (address, FIRST, solution, first, first_ok)))
+            if not first_ok:
+                value_errors.append(address)
+            children = reference_edges.get(address)
+            if children is not None:
+                stack.append((address, solution, first, first_ok, iter(children)))
+                break
+            if first_ok and memo.get(address) is first and address not in cyclic:
+                # What re_evaluate would find: a matching cell no correction reached.
+                trace.append(new(TraceEntry, (address, AGAIN, solution, first, True)))
             else:
-                current = cell_value(working, working_sheets, address, memo)
-            re_ok = values_equal(solution, current, tolerance)
-            trace.append(TraceEntry(address, ComparePhase.RE_EVALUATE, solution, current, re_ok))
-            if not re_ok:
-                if not first_ok:
-                    formula_errors.append(address)
-                correct(address, solution)
+                re_evaluate(address, solution, first, first_ok)
+        else:
+            address, solution, first, first_ok, _ = stack.pop()
+            if stack:
+                re_evaluate(address, solution, first, first_ok)
 
     return MatchResult(
         value_errors=row_major(value_errors),

@@ -11,6 +11,8 @@ per-metric overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .formulas import (
@@ -133,13 +135,14 @@ def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
     return operators, operands, deepest
 
 
+def _degrees(nodes: tuple[CellAddress, ...], edges: Mapping[CellAddress, tuple]) -> dict[CellAddress, int]:
+    """The number of edges of each node, in node order."""
+    return dict(zip(nodes, map(len, map(edges.get, nodes, repeat(())))))
+
+
 def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
-    """The highest degree with its row-major-first address, in one pass."""
-    best: tuple[CellAddress, int] | None = None
-    for address, count in degrees.items():
-        if best is None or count > best[1] or (count == best[1] and address < best[0]):
-            best = (address, count)
-    return best
+    """The highest degree with its first address in `degrees`, which is row-major."""
+    return max(degrees.items(), key=itemgetter(1), default=None)
 
 
 def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
@@ -152,8 +155,8 @@ def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
     except CycleError:
         chain = 0  # a cyclic submission has no meaningful chain length
 
-    fan_in = {node: len(graph.in_edges.get(node, ())) for node in graph.nodes}
-    fan_out = {node: len(graph.out_edges.get(node, ())) for node in graph.nodes}
+    fan_in = _degrees(graph.nodes, graph.in_edges)
+    fan_out = _degrees(graph.nodes, graph.out_edges)
 
     return QualityMetrics(
         sheet_count=len(workbook.sheets),

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sheetcheck import CellAddress, Workbook, parse_address, read_workbook
+from sheetcheck import CellAddress, Workbook, column_letters, parse_address, read_workbook
 from sheetcheck.fixtures import load_fixture
 
 SESSION_START = time.perf_counter()
@@ -73,4 +73,19 @@ def fill_down_cells(n: int, up: bool, first: object = 1) -> dict[str, object]:
     for i in range(1, n + 1):
         neighbour = i - 1 if up else i + 1
         cells[f"A{i}"] = f"=A{neighbour}+1" if 1 <= neighbour <= n else first
+    return cells
+
+
+def range_sum_cells(rows: int, cols: int, short: bool = False) -> dict[str, object]:
+    """A rows x cols block of constants from A1 and, below it, a SUM over it.
+
+    With `short` the SUM stops one row short of the block, as a submission
+    that misses the last row.
+    """
+    cells: dict[str, object] = {
+        f"{column_letters(c)}{r}": (r * cols + c) % 9 + 1
+        for r in range(1, rows + 1)
+        for c in range(1, cols + 1)
+    }
+    cells[f"A{rows + 2}"] = f"=SUM(A1:{column_letters(cols)}{rows - 1 if short else rows})"
     return cells

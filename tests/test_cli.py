@@ -186,6 +186,15 @@ def test_internal_error_exits_three_with_one_line(workspace, capsys, monkeypatch
     assert err == "error: internal error: RuntimeError: engine fault\n"
 
 
+def test_integer_too_large_for_a_float_is_a_format_error(workspace, capsys):
+    submission = workspace / "huge.json"
+    submission.write_text('{"name": "s", "sheets": [{"name": "Sheet1", "cells": {"B3": ' + "9" * 400 + "}}]}")
+    code, out, err = run(capsys, "check", workspace / "task.json", submission)
+    assert code == 3
+    assert out == ""
+    assert "internal error" not in err and "Sheet1!B3" in err
+
+
 def test_validate_clean(workspace, capsys):
     code, out, _ = run(capsys, "validate", workspace / "solution.json")
     assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from sheetcheck import (
 from sheetcheck.evaluate import DIV_ZERO, evaluate_ast, workbook_contents
 from sheetcheck.formulas import parse_formula
 
-from conftest import addr, fill_down_cells, make_workbook
+from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
 from genwb import GenConfig, WorkbookGen
 from oracle_cases import ORACLE_CASES
 
@@ -220,3 +221,21 @@ def test_long_cycle_is_cycle_everywhere():
     n = 10_000
     grid = grid_of(fill_down_cells(n, False, first="=A1+1"))
     assert set(grid.values()) == {CellError(ErrorKind.CYCLE)}
+
+
+def test_evaluate_starts_cell_value_only_at_formula_cells(monkeypatch):
+    evaluation = importlib.import_module("sheetcheck.evaluate")
+    workbook = make_workbook(range_sum_cells(100, 100, short=True))
+    calls = []
+    plain = evaluation.cell_value
+
+    def counted(contents, sheets, address, memo):
+        calls.append(address)
+        return plain(contents, sheets, address, memo)
+
+    monkeypatch.setattr(evaluation, "cell_value", counted)
+    grid = evaluation.evaluate(workbook)
+    assert texts(calls) == ["A102"]
+    expected = sum((r * 100 + c) % 9 + 1 for r in range(1, 100) for c in range(1, 101))
+    assert grid[addr("A102")] == Number(expected)
+    assert len(grid) == 10_001

@@ -10,7 +10,7 @@ from sheetcheck import (
     references_of,
     terminals,
 )
-from conftest import addr, fill_down_cells, make_workbook, texts
+from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
 
 
 def graph_of(cells):
@@ -159,3 +159,45 @@ def test_longest_chain_of_a_long_fill_down_chain(up):
     closed = fill_down_cells(n, up, first=f"=A1+A{n}")
     with pytest.raises(CycleError):
         longest_chain(graph_of(closed))
+
+
+def test_graph_nodes_are_the_workbooks_own_addresses():
+    analysis = analyze(make_workbook(range_sum_cells(100, 100, short=True)))
+    graph = build_graph(analysis)
+    own = {address: address for address in analysis.contents}
+    assert len(graph.nodes) == 9_901
+    assert all(node is own[node] for node in graph.nodes)
+    assert all(target is own[target] for targets in graph.out_edges.values() for target in targets)
+    assert all(node is own[node] for node in graph.in_edges)
+    # every range member has the one SUM cell as its source: one shared tuple
+    assert len({id(sources) for sources in graph.in_edges.values()}) == 1
+
+
+def test_in_edges_are_row_major_and_equal_ones_shared():
+    graph = graph_of({"A1": 1, "B2": "=A1+C1", "A3": "=C1*A1", "C3": "=A1", "A2": "=C1-A1"})
+    assert texts(graph.in_edges[addr("A1")]) == ["A2", "B2", "A3", "C3"]
+    assert texts(graph.in_edges[addr("C1")]) == ["A2", "B2", "A3"]
+    edges = graph_of({"A1": 1, "B1": 2, "C1": "=A1+B1", "C2": "=B1*A1"}).in_edges
+    assert edges[addr("A1")] is edges[addr("B1")]
+
+
+class _CountedNodes(tuple):
+    passes = 0
+
+    def __iter__(self):
+        _CountedNodes.passes += 1
+        return super().__iter__()
+
+
+def test_second_terminals_call_makes_no_pass_over_the_nodes():
+    import dataclasses
+
+    plain = build_graph(analyze(make_workbook(range_sum_cells(10, 10, short=True))))
+    graph = dataclasses.replace(plain, nodes=_CountedNodes(plain.nodes))
+    _CountedNodes.passes = 0
+    first = terminals(graph)
+    assert _CountedNodes.passes > 0
+    _CountedNodes.passes = 0
+    assert terminals(graph) is first
+    assert _CountedNodes.passes == 0
+    assert first == terminals(plain)

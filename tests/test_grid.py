@@ -237,3 +237,12 @@ def test_workbook_equality_ignores_insertion_order():
 def test_overflowing_number_literal_rejected():
     with pytest.raises(WorkbookFormatError, match="A1"):
         read_workbook('{"name": "x", "sheets": [{"name": "S", "cells": {"A1": 1e999}}]}')
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_too_large_for_a_float_rejected(digits):
+    # 400 digits overflow float(); 5000 also exceed the digit limit that
+    # recent Pythons put on parsing an int, which the JSON reader raises
+    text = '{"name": "x", "sheets": [{"name": "S", "cells": {"A1": ' + "9" * digits + "}}]}"
+    with pytest.raises(WorkbookFormatError, match="S!A1" if digits == 400 else "S!A1|invalid workbook JSON"):
+        read_workbook(text)

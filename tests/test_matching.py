@@ -20,7 +20,7 @@ from sheetcheck import (
 )
 
 import matching_oracle
-from conftest import addr, fill_down_cells, make_workbook, texts
+from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
 from genwb import WorkbookGen, mutate_one_formula
 
 
@@ -305,7 +305,26 @@ def _plus(content, term):
     return f"=({body})+{term}"
 
 
-_EDITS = ("cycle", "self_reference", "missing_sheet", "bad_ref_cycle", "constant", "drop_sheet")
+def _is_formula(content):
+    return isinstance(content, str) and content.startswith("=")
+
+
+def _number_at(sheets, name):
+    """Formula text of the number that Sheet1 cell `name` evaluates to in these sheets, or None."""
+    workbook = read_workbook(json.dumps({"name": "w", "sheets": sheets}))
+    value = matching_oracle.evaluate(workbook).get(addr(name))
+    return repr(value.value) if isinstance(value, Number) else None
+
+
+_EDITS = (
+    "cycle",
+    "self_reference",
+    "missing_sheet",
+    "bad_ref_cycle",
+    "constant",
+    "formula_over_constant",
+    "drop_sheet",
+)
 
 
 @st.composite
@@ -315,7 +334,11 @@ def matching_cases(draw):
     The reference may gain a second sheet that its formulas reference.  The
     submission starts from the reference, perhaps with one formula mutated,
     and takes up to three edits that add cycles, references to a missing
-    sheet, changed constants or drop the second sheet.
+    sheet, changed constants, formulas where the reference holds a constant
+    or drop the second sheet.  Such a formula reads an earlier formula cell
+    and holds the reference constant while that cell holds its reference or
+    its submission value, so a correction there can turn the verdict on a
+    reference-graph leaf either way.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     sheets = json.loads(write_workbook(WorkbookGen(rng).workbook("reference")))["sheets"]
@@ -348,6 +371,15 @@ def matching_cases(draw):
                 cells[other] = f"={target}"
         elif edit == "constant":
             cells[target] = round(rng.uniform(-10, 10), 2)
+        elif edit == "formula_over_constant":
+            leaves = [name for name in names if not _is_formula(sheets[0]["cells"][name])]
+            leaf = rng.choice(leaves) if leaves else target
+            earlier = [name for name in names[: names.index(leaf)] if _is_formula(cells.get(name))]
+            source = rng.choice(earlier) if earlier else None
+            base = source and _number_at(rng.choice([sheets, submission]), source)
+            if base is not None:
+                # The leaf holds its reference value while `source` holds `base`.
+                cells[leaf] = f"={source}-({base})+({sheets[0]['cells'][leaf]!r})"
         elif len(submission) > 1:
             submission.pop()
 
@@ -380,6 +412,23 @@ def test_cycle_cells_are_re_evaluated_from_a_fresh_memo():
     assert result == matching_oracle.match_values(reference, submission, graded={addr("B1")})
 
 
+def test_a_matching_leaf_that_a_correction_reaches_is_re_evaluated():
+    # C1 is a reference constant that the submission computes from B1.  It
+    # matches at first, but once B1 is corrected it reads 8, not 10, and is
+    # corrected itself, so D1 reads the right sum.
+    reference = make_workbook({"A1": 2, "B1": "=A1*3", "C1": 10, "D1": "=B1+C1"})
+    submission = make_workbook({"A1": 2, "B1": "=A1*4", "C1": "=B1-8+10", "D1": "=B1+C1"})
+    result = match_values(analyze(reference), analyze(submission))
+    c1 = [(t.phase, t.submission, t.matched) for t in result.trace if t.address == addr("C1")]
+    assert c1 == [
+        (ComparePhase.FIRST_COMPARE, Number(10.0), True),
+        (ComparePhase.RE_EVALUATE, Number(8.0), False),
+    ]
+    assert texts(result.value_errors) == ["B1", "D1"]
+    assert texts(result.formula_errors) == ["B1"]
+    assert result == matching_oracle.match_values(reference, submission)
+
+
 def _formula_evaluations(monkeypatch, reference, submission):
     """AST nodes evaluated by match_values alone, analyses excluded."""
     evaluation = importlib.import_module("sheetcheck.evaluate")
@@ -407,3 +456,24 @@ def test_matching_a_chain_evaluates_each_formula_at_most_once(monkeypatch, n):
     # of three nodes each are evaluated again
     wrong_start = make_workbook(fill_down_cells(n, True, 2))
     assert _formula_evaluations(monkeypatch, reference, wrong_start) == 3 * (n - 1)
+
+
+def test_matching_compares_a_constant_cell_once(monkeypatch):
+    # The re-evaluation of a cell that no correction reached finds the
+    # submission's own value object and keeps the first compare's verdict.
+    matching = importlib.import_module("sheetcheck.matching")
+    reference = analyze(make_workbook(range_sum_cells(100, 100)))
+    submission = analyze(make_workbook(range_sum_cells(100, 100, short=True)))
+    calls = 0
+    plain = matching.values_equal
+
+    def counted(a, b, tolerance):
+        nonlocal calls
+        calls += 1
+        return plain(a, b, tolerance)
+
+    monkeypatch.setattr(matching, "values_equal", counted)
+    result = match_values(reference, submission)
+    assert texts(result.formula_errors) == ["A102"]
+    assert len(result.trace) == 2 * len(reference.graph.nodes)
+    assert calls <= len(reference.graph.nodes) + len(reference.formulas)
