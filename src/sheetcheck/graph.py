@@ -55,7 +55,7 @@ class DependencyGraph:
         other cells.  Sinks come first; the order is deterministic.
         """
         unresolved = dict(zip(self.out_edges, map(len, self.out_edges.values())))
-        order = list(self.terminal_nodes[1])  # the sinks
+        order = list(self._terminals[1])  # the sinks
         for node in order:  # the list grows while it is walked
             for source in self.in_edges.get(node, ()):
                 unresolved[source] -= 1
@@ -64,8 +64,8 @@ class DependencyGraph:
         return tuple(order)
 
     @cached_property
-    def terminal_nodes(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
-        """(outputs, inputs); see `terminals`."""
+    def _terminals(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
+        """(outputs, inputs), computed once per graph; see `terminals`."""
         return (
             tuple(filterfalse(self.in_edges.get, self.nodes)),
             tuple(filterfalse(self.out_edges.get, self.nodes)),
@@ -122,7 +122,7 @@ def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[Ce
 
     Computed once per graph, on the first call.
     """
-    return graph.terminal_nodes
+    return graph._terminals
 
 
 def _find_cycle(graph: DependencyGraph) -> tuple[CellAddress, ...] | None:

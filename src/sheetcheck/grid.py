@@ -93,6 +93,11 @@ class CellAddress(tuple):
             raise AddressError(f"column and row must be positive, got {col}, {row}")
         return tuple.__new__(cls, (sheet, row, col))
 
+    @classmethod
+    def _trusted(cls, sheet: str, col: int, row: int) -> CellAddress:
+        """An address whose column and row are known to be at least 1; no check."""
+        return tuple.__new__(cls, (sheet, row, col))
+
     def __getnewargs__(self) -> tuple[str, int, int]:  # pickle and copy call __new__
         sheet, row, col = self
         return (sheet, col, row)
@@ -315,6 +320,7 @@ def _sheet_from_doc(doc: Any, position: str) -> Sheet:
         raise WorkbookFormatError(f"sheet {name!r}: cells must be an object")
     cells: dict[CellAddress, Cell] = {}
     columns: dict[str, int] = {}  # column index by letters
+    address_of = CellAddress._trusted  # the key pattern admits no row or column below 1
     for key, raw in cells_doc.items():
         match = _STRICT_KEY_RE.fullmatch(key)
         if not match:
@@ -323,9 +329,7 @@ def _sheet_from_doc(doc: Any, position: str) -> Sheet:
         col = columns.get(letters)
         if col is None:
             col = columns[letters] = column_index(letters)
-        # The key pattern admits no row or column below 1, which is all
-        # CellAddress checks; build the (sheet, row, col) tuple directly.
-        address = tuple.__new__(CellAddress, (name, int(row), col))
+        address = address_of(name, col, int(row))
         cells[address] = Cell(address, _classify(raw, address))
     return Sheet(name, cells)
 

@@ -100,9 +100,7 @@ def match_values(
     formula_errors: list[CellAddress] = []
     replacements: dict[CellAddress, Value] = {}
     trace: list[TraceEntry] = []
-    # Trace entries are built by tuple.__new__, which skips the Python-level
-    # __new__ of a NamedTuple.
-    new, FIRST, AGAIN = tuple.__new__, ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
+    FIRST, AGAIN = ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
     def re_evaluate(address: CellAddress, solution: Value, first: Value, first_ok: bool) -> None:
         if address in cyclic:
@@ -114,7 +112,7 @@ def match_values(
         # values_equal is deterministic, so the submission's own value object
         # keeps the first compare's verdict.
         re_ok = first_ok if current is first else values_equal(solution, current, tolerance)
-        trace.append(new(TraceEntry, (address, AGAIN, solution, current, re_ok)))
+        trace.append(TraceEntry(address, AGAIN, solution, current, re_ok))
         if not re_ok:
             if not first_ok:
                 formula_errors.append(address)
@@ -151,18 +149,14 @@ def match_values(
             solution = reference_grid.get(address, BLANK)
             first = submission_grid.get(address, BLANK)
             first_ok = values_equal(solution, first, tolerance)
-            trace.append(new(TraceEntry, (address, FIRST, solution, first, first_ok)))
+            trace.append(TraceEntry(address, FIRST, solution, first, first_ok))
             if not first_ok:
                 value_errors.append(address)
             children = reference_edges.get(address)
             if children is not None:
                 stack.append((address, solution, first, first_ok, iter(children)))
                 break
-            if first_ok and memo.get(address) is first and address not in cyclic:
-                # What re_evaluate would find: a matching cell no correction reached.
-                trace.append(new(TraceEntry, (address, AGAIN, solution, first, True)))
-            else:
-                re_evaluate(address, solution, first, first_ok)
+            re_evaluate(address, solution, first, first_ok)
         else:
             address, solution, first, first_ok, _ = stack.pop()
             if stack:
