@@ -356,7 +356,7 @@ def _eval(node: FormulaAst, resolve: _Resolver) -> Value:
     values: list[Value] = []
     for arg in node.args:
         if isinstance(arg, RangeRef):
-            values.extend(resolve(address) for address in range_addresses(arg))
+            values.extend(map(resolve, range_addresses(arg)))
         else:
             values.append(_eval(arg, resolve))
     return apply_function(node.name, values)

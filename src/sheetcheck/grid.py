@@ -215,7 +215,7 @@ class Formula:
 CellContent = Value | Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     address: CellAddress
     content: CellContent
@@ -277,11 +277,13 @@ class Workbook:
 
 
 def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    doc: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in doc:
-            raise WorkbookFormatError(f"duplicate key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise WorkbookFormatError(f"duplicate key {key!r}")
+            seen.add(key)
     return doc
 
 
@@ -306,7 +308,8 @@ def _classify(raw: Any, address: CellAddress) -> CellContent:
     raise WorkbookFormatError(f"cell {address.text(qualified=True)}: unsupported value {raw!r}")
 
 
-def _sheet_from_doc(doc: Any, position: str) -> Sheet:
+def _sheet_from_doc(doc: Any, position: str, numbers: dict[int | float, CellContent]) -> Sheet:
+    """Read one sheet; `numbers` holds the workbook's Number per JSON number so far."""
     if not isinstance(doc, dict):
         raise WorkbookFormatError(f"{position}: sheet must be an object")
     unknown = set(doc) - {"name", "cells"}
@@ -330,7 +333,17 @@ def _sheet_from_doc(doc: Any, position: str) -> Sheet:
         if col is None:
             col = columns[letters] = column_index(letters)
         address = address_of(name, col, int(row))
-        cells[address] = Cell(address, _classify(raw, address))
+        # Equal numbers share one Number.  The exact type test leaves out
+        # bool (True == 1), and float zeros are not shared because -0.0 and
+        # 0.0 are equal keys of different sign.
+        kind = type(raw)
+        if kind is int or (kind is float and raw):
+            content = numbers.get(raw)
+            if content is None:
+                content = numbers[raw] = _classify(raw, address)
+        else:
+            content = _classify(raw, address)
+        cells[address] = Cell(address, content)
     return Sheet(name, cells)
 
 
@@ -347,8 +360,9 @@ def workbook_from_doc(doc: Any) -> Workbook:
     sheets_doc = doc.get("sheets")
     if not isinstance(sheets_doc, list):
         raise WorkbookFormatError("workbook needs a 'sheets' list")
+    numbers: dict[int | float, CellContent] = {}
     sheets = tuple(
-        _sheet_from_doc(sheet_doc, f"sheets[{index}]") for index, sheet_doc in enumerate(sheets_doc)
+        _sheet_from_doc(sheet_doc, f"sheets[{index}]", numbers) for index, sheet_doc in enumerate(sheets_doc)
     )
     return Workbook(name, sheets)
 

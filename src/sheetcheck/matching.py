@@ -24,9 +24,10 @@ keep explicit stacks, so chains of any length are matched.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal
 from .graph import terminals
@@ -55,12 +56,53 @@ class TraceEntry(NamedTuple):
     matched: bool
 
 
+_FIELDS = len(TraceEntry._fields)
+
+
+class MatchTrace(Sequence[TraceEntry]):
+    """The match trace: a read-only sequence of TraceEntry in walk order.
+
+    It keeps the entries' fields in one flat list and builds an entry only
+    when it is read, so an unread trace costs the collector two objects.
+    It equals a tuple of equal entries, from either side, and hashes as one.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: list[Any]) -> None:
+        self._flat = flat  # the fields of entry i are flat[5 * i : 5 * i + 5]
+
+    def __len__(self) -> int:
+        return len(self._flat) // _FIELDS
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        start = range(len(self))[index] * _FIELDS  # checks and wraps the index
+        return TraceEntry._make(self._flat[start : start + _FIELDS])
+
+    def __iter__(self):
+        fields = iter(self._flat)
+        return map(TraceEntry._make, zip(*[fields] * _FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (MatchTrace, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"MatchTrace({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class MatchResult:
     value_errors: tuple[CellAddress, ...]
     formula_errors: tuple[CellAddress, ...]
     corrected: Workbook
-    trace: tuple[TraceEntry, ...]
+    trace: Sequence[TraceEntry]
 
 
 def match_values(
@@ -99,7 +141,7 @@ def match_values(
     value_errors: list[CellAddress] = []
     formula_errors: list[CellAddress] = []
     replacements: dict[CellAddress, Value] = {}
-    trace: list[TraceEntry] = []
+    trace: list[Any] = []  # TraceEntry fields, flat; see MatchTrace
     FIRST, AGAIN = ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
     def re_evaluate(address: CellAddress, solution: Value, first: Value, first_ok: bool) -> None:
@@ -112,7 +154,7 @@ def match_values(
         # values_equal is deterministic, so the submission's own value object
         # keeps the first compare's verdict.
         re_ok = first_ok if current is first else values_equal(solution, current, tolerance)
-        trace.append(TraceEntry(address, AGAIN, solution, current, re_ok))
+        trace.extend((address, AGAIN, solution, current, re_ok))
         if not re_ok:
             if not first_ok:
                 formula_errors.append(address)
@@ -149,7 +191,7 @@ def match_values(
             solution = reference_grid.get(address, BLANK)
             first = submission_grid.get(address, BLANK)
             first_ok = values_equal(solution, first, tolerance)
-            trace.append(TraceEntry(address, FIRST, solution, first, first_ok))
+            trace.extend((address, FIRST, solution, first, first_ok))
             if not first_ok:
                 value_errors.append(address)
             children = reference_edges.get(address)
@@ -166,7 +208,7 @@ def match_values(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
         corrected=_apply_replacements(submission.workbook, replacements),
-        trace=tuple(trace),
+        trace=MatchTrace(trace),
     )
 
 

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from sheetcheck import (
     evaluate,
     values_equal,
 )
-from sheetcheck.evaluate import DIV_ZERO, evaluate_ast, workbook_contents
+from sheetcheck.evaluate import DIV_ZERO, cell_value, evaluate_ast, workbook_contents
 from sheetcheck.formulas import parse_formula
 
 from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
@@ -239,3 +240,23 @@ def test_evaluate_starts_cell_value_only_at_formula_cells(monkeypatch):
     expected = sum((r * 100 + c) % 9 + 1 for r in range(1, 100) for c in range(1, 101))
     assert grid[addr("A102")] == Number(expected)
     assert len(grid) == 10_001
+
+
+def test_a_range_argument_costs_one_python_call_per_member():
+    # SUM(A1:CV100): each member is one call of the resolver, with no
+    # generator frame resumed per member around it.
+    contents = workbook_contents(make_workbook(range_sum_cells(100, 100)))
+    memo = {address: value for address, value in contents.items() if address != addr("A102")}
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        value = cell_value(contents, frozenset({"Sheet1"}), addr("A102"), memo)
+    finally:
+        sys.setprofile(None)
+    assert value == Number(sum((r * 100 + c) % 9 + 1 for r in range(1, 101) for c in range(1, 101)))
+    assert calls <= 10_000 + 50

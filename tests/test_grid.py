@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 
@@ -23,7 +24,7 @@ from sheetcheck import (
     write_workbook,
 )
 
-from conftest import addr, make_workbook
+from conftest import addr, make_workbook, range_sum_cells
 
 
 def test_parse_address_smallest():
@@ -158,6 +159,36 @@ def test_read_boolean_and_text():
     assert wb.content(addr("A2")) == Text("hello")
 
 
+@pytest.mark.parametrize(
+    "cells, expected",
+    [
+        ({"A1": 1, "A2": True, "A3": 1.0}, ["Number(value=1.0)", "Boolean(value=True)", "Number(value=1.0)"]),
+        ({"A1": False, "A2": 0}, ["Boolean(value=False)", "Number(value=0.0)"]),
+        (
+            {"A1": 0, "A2": -0.0, "A3": 0.0, "A4": -0.0},
+            ["Number(value=0.0)", "Number(value=-0.0)", "Number(value=0.0)", "Number(value=-0.0)"],
+        ),
+    ],
+)
+def test_read_equal_numbers_keep_their_type_and_sign(cells, expected):
+    wb = make_workbook(cells)
+    assert [repr(wb.content(addr(key))) for key in cells] == expected
+
+
+def test_reading_keeps_two_tracked_objects_per_constant_cell():
+    # The address and the Cell: equal numbers of a workbook share one Number.
+    cells = range_sum_cells(100, 10)
+    text = json.dumps({"name": "x", "sheets": [{"name": "S", "cells": cells}]})
+    read_workbook(text)
+    gc.collect()
+    before = len(gc.get_objects())
+    workbook = read_workbook(text)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(workbook.sheets[0].cells) == 1001
+    assert kept <= 2 * 1001 + 50
+
+
 def test_blank_closure():
     wb = make_workbook({"A1": 1})
     assert wb.content(addr("Z99")) == BLANK
@@ -187,9 +218,10 @@ def test_write_emits_row_major():
 
 
 def test_duplicate_cell_key_rejected():
-    text = '{"name": "x", "sheets": [{"name": "S", "cells": {"A1": 1, "A1": 2}}]}'
-    with pytest.raises(WorkbookFormatError, match="duplicate"):
-        read_workbook(text)
+    for cells, key in [('"A1": 1, "A1": 2', "A1"), ('"A1": 1, "B1": 2, "C1": 3, "B1": 4, "A1": 5', "B1")]:
+        text = '{"name": "x", "sheets": [{"name": "S", "cells": {' + cells + "}}]}"
+        with pytest.raises(WorkbookFormatError, match=f"duplicate key '{key}'"):
+            read_workbook(text)
 
 
 def test_unknown_top_level_field_rejected():
@@ -235,8 +267,9 @@ def test_workbook_equality_ignores_insertion_order():
 
 
 def test_overflowing_number_literal_rejected():
-    with pytest.raises(WorkbookFormatError, match="A1"):
-        read_workbook('{"name": "x", "sheets": [{"name": "S", "cells": {"A1": 1e999}}]}')
+    for cells, cell in [('"A1": 1e999', "S!A1"), ('"A1": 2, "B1": 2, "C1": 1e999, "D1": 1e999', "S!C1")]:
+        with pytest.raises(WorkbookFormatError, match=cell):
+            read_workbook('{"name": "x", "sheets": [{"name": "S", "cells": {' + cells + "}}]}")
 
 
 @pytest.mark.parametrize("digits", [400, 5000])

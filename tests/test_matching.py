@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import random
@@ -477,3 +478,43 @@ def test_matching_compares_a_constant_cell_once(monkeypatch):
     assert texts(result.formula_errors) == ["A102"]
     assert len(result.trace) == 2 * len(reference.graph.nodes)
     assert calls <= len(reference.graph.nodes) + len(reference.formulas)
+
+
+def _block_match():
+    reference = analyze(make_workbook(range_sum_cells(100, 10)))
+    submission = analyze(make_workbook(range_sum_cells(100, 10, short=True)))
+    return reference, submission
+
+
+def test_an_unread_trace_keeps_no_object_per_entry():
+    reference, submission = _block_match()
+    match_values(reference, submission)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = match_values(reference, submission)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(result.trace) == 2 * 1001
+    assert kept <= 50
+
+
+def test_trace_reads_as_a_tuple_of_entries():
+    reference, submission = _block_match()
+    trace = match_values(reference, submission).trace
+    expected = matching_oracle.match_values(reference.workbook, submission.workbook).trace
+    assert type(expected) is tuple
+    assert trace == expected and expected == trace
+    assert not (trace != expected or expected != trace)
+    assert trace != expected[:-1] and expected[1:] != trace
+    assert hash(trace) == hash(expected)
+    assert len(trace) == len(expected) == 2 * len(reference.graph.nodes)
+    assert trace[0] == expected[0] and trace[-1] == expected[-1] == trace[len(trace) - 1]
+    assert trace[-1].address == addr("A102") and trace[-1].phase is ComparePhase.RE_EVALUATE
+    assert trace[5:11] == expected[5:11] and trace[::-700] == expected[::-700]
+    assert list(trace) == list(expected)
+    for index in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    with pytest.raises(TypeError):
+        trace[0] = expected[1]
+
