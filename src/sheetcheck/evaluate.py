@@ -38,7 +38,6 @@ from .grid import (
     CellAddress,
     CellError,
     ErrorKind,
-    Formula,
     Number,
     Text,
     Value,
@@ -378,22 +377,35 @@ def evaluate_ast(ast: FormulaAst, values: Mapping[CellAddress, Value]) -> Value:
 Contents = dict[CellAddress, "Value | FormulaAst"]
 
 
-def workbook_contents(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> Contents:
-    """Flatten a workbook into an address map of values and parsed formulas.
+def checked_formulas(workbook: Workbook) -> dict[CellAddress, FormulaAst]:
+    """The parsed formula cells of a workbook that must pass the syntax check.
 
-    `formulas` are the workbook's parsed formula cells as `parse_workbook`
-    returns them for a workbook without syntax errors.  Without them the
-    workbook is parsed here, and a syntax error raises FormulaSyntaxError.
+    They are `parse_workbook`'s ASTs, sheets in workbook order and row-major
+    within each sheet; a syntax error raises FormulaSyntaxError.
+    """
+    formulas, syntax = parse_workbook(workbook)
+    if not syntax.ok:
+        issue = syntax.errors[0]
+        raise FormulaSyntaxError(f"{issue.cell.text(qualified=True)}: {issue.message}", issue.position)
+    return formulas
+
+
+def workbook_contents(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> Contents:
+    """Merge a workbook's sheets into one address map of values and parsed formulas.
+
+    The map is in file order: sheets in workbook order, each sheet's cells
+    in the order the sheet lists them.  `formulas` are the workbook's
+    parsed formula cells as `parse_workbook` returns them for a workbook
+    without syntax errors; without them the workbook is parsed here (see
+    `checked_formulas`).
     """
     if formulas is None:
-        formulas, syntax = parse_workbook(workbook)
-        if not syntax.ok:
-            issue = syntax.errors[0]
-            raise FormulaSyntaxError(f"{issue.cell.text(qualified=True)}: {issue.message}", issue.position)
-    return {
-        cell.address: formulas[cell.address] if isinstance(cell.content, Formula) else cell.content
-        for cell in workbook.iter_cells()
-    }
+        formulas = checked_formulas(workbook)
+    contents: Contents = {}
+    for sheet in workbook.sheets:
+        contents.update(sheet.cells)
+    contents.update(formulas)
+    return contents
 
 
 def cell_value(
@@ -453,21 +465,32 @@ def cell_value(
     return memo[address]
 
 
-def evaluate(workbook: Workbook, contents: Contents | None = None) -> dict[CellAddress, Value]:
+def evaluate(
+    workbook: Workbook,
+    contents: Contents | None = None,
+    formulas: Mapping[CellAddress, FormulaAst] | None = None,
+) -> dict[CellAddress, Value]:
     """Evaluate every cell of a workbook.
 
     The result covers every constant cell, every formula cell and every
     cell referenced by a formula (blank when absent); referenced addresses
     on nonexistent sheets are not part of the grid, the referring formula
     simply evaluates to BAD_REF.  `contents` are the workbook's
-    `workbook_contents`, built here when not given; the workbook must have
-    passed the syntax check.
+    `workbook_contents` and `formulas` its parsed formula cells (see
+    `checked_formulas`), each built here when not given; the workbook must
+    have passed the syntax check.  Evaluation starts at the formula cells
+    in the order of `formulas`, which decides where CYCLE lands, so it does
+    not depend on the order a file lists its cells in.
     """
+    if formulas is None:
+        formulas = checked_formulas(workbook)
     if contents is None:
-        contents = workbook_contents(workbook)
+        contents = workbook_contents(workbook, formulas)
     sheets = frozenset(workbook.sheet_names())
-    memo = {address: content for address, content in contents.items() if isinstance(content, VALUE_TYPES)}
-    for address in contents:
+    memo = dict(contents)
+    for address in formulas:
+        del memo[address]
+    for address in formulas:
         if address not in memo:  # a formula cell not yet reached through a reference
             cell_value(contents, sheets, address, memo)
     return memo  # cell_value memoizes no cell on a sheet outside `sheets`

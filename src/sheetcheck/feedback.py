@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .diffing import ErrorCategory, ErrorDetail, diff_formula
-from .evaluate import DEFAULT_TOLERANCE, CYCLE, Contents, Tolerance, evaluate, workbook_contents
+from .evaluate import DEFAULT_TOLERANCE, Contents, Tolerance, checked_formulas, evaluate, workbook_contents
 from .formulas import FormulaAst, SyntaxReport, parse_workbook
 
 # Not called here since reports run the single parse pass; the benchmark's
@@ -29,8 +29,9 @@ from .formulas import FormulaAst, SyntaxReport, parse_workbook
 from .formulas import syntax_check  # noqa: F401
 from .graph import DependencyGraph, build_graph
 from .grid import (
-    VALUE_TYPES,
     CellAddress,
+    CellError,
+    ErrorKind,
     Text,
     Value,
     Workbook,
@@ -66,28 +67,28 @@ class TaskConfigError(ValueError):
 class WorkbookAnalysis:
     """A syntax-checked workbook with its contents, grid, graph and quality metrics.
 
-    `contents` maps each cell, in workbook order, to its value or, for a
-    formula cell, its parsed AST (see `evaluate.workbook_contents`); the
-    workbook is parsed here when they are not given.  `formulas` maps each
-    formula cell, in the same order, to its AST and `canonical` to its
-    canonical form; the graph, metrics and quality checks read formulas
-    only from here.  Those and the graph and metrics are computed on first
-    use.  The reference of a task bundle is analysed once per bundle, a
-    submission once per report.
+    `formulas` maps each formula cell to its parsed AST as `parse_workbook`
+    returns them: sheets in workbook order, row-major within each sheet.
+    `contents` maps each cell, in file order, to its value or, for a
+    formula cell, its AST (see `evaluate.workbook_contents`).  The workbook
+    is parsed here when they are not given.  `canonical` maps each formula
+    cell, in the order of `formulas`, to its canonical form; the graph,
+    metrics and quality checks read formulas only from here.  Those and
+    the graph and metrics are computed on first use.  The reference of a
+    task bundle is analysed once per bundle, a submission once per report.
     """
 
-    def __init__(self, workbook: Workbook, grid: dict[CellAddress, Value], contents: Contents | None = None):
+    def __init__(
+        self,
+        workbook: Workbook,
+        grid: dict[CellAddress, Value],
+        contents: Contents | None = None,
+        formulas: Mapping[CellAddress, FormulaAst] | None = None,
+    ):
         self.workbook = workbook
         self.grid = grid
-        self.contents = workbook_contents(workbook) if contents is None else contents
-
-    @cached_property
-    def formulas(self) -> dict[CellAddress, FormulaAst]:
-        return {
-            address: content
-            for address, content in self.contents.items()
-            if not isinstance(content, VALUE_TYPES)
-        }
+        self.formulas = checked_formulas(workbook) if formulas is None else formulas
+        self.contents = workbook_contents(workbook, self.formulas) if contents is None else contents
 
     @cached_property
     def canonical(self) -> dict[CellAddress, FormulaAst]:
@@ -108,8 +109,10 @@ def analyze(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | Non
     `formulas` are its parsed formula cells as `parse_workbook` returns
     them; without them the workbook is parsed here.
     """
+    if formulas is None:
+        formulas = checked_formulas(workbook)
     contents = workbook_contents(workbook, formulas)
-    return WorkbookAnalysis(workbook, evaluate(workbook, contents), contents)
+    return WorkbookAnalysis(workbook, evaluate(workbook, contents, formulas), contents, formulas)
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +155,9 @@ class TaskBundle:
     quality: QualityConfig = field(default_factory=QualityConfig)
 
     def validate(self) -> "TaskBundle":
-        if any(value == CYCLE for value in self.reference_analysis.grid.values()):
-            raise TaskConfigError("reference workbook contains a reference cycle")
+        for value in self.reference_analysis.grid.values():
+            if isinstance(value, CellError) and value.kind is ErrorKind.CYCLE:
+                raise TaskConfigError("reference workbook contains a reference cycle")
         return self
 
     @cached_property
@@ -177,8 +181,7 @@ class TaskBundle:
         """
         formulas = self.reference_analysis.formulas
         return {
-            (cell.content.source, cell.address.sheet): formulas[cell.address]
-            for cell in self.reference.formula_cells()
+            (formula.source, address.sheet): formulas[address] for address, formula in self.reference.formula_items()
         }
 
 

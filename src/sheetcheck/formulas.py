@@ -490,16 +490,16 @@ def parse_workbook(
     """
     formulas: dict[CellAddress, FormulaAst] = {}
     issues = []
-    for cell in workbook.formula_cells():
-        text = (cell.content.source, cell.address.sheet)
+    for address, formula in workbook.formula_items():
+        text = (formula.source, address.sheet)
         ast = known.get(text)
         if ast is None:
             try:
                 ast = parse_formula(*text)
             except FormulaError as exc:
-                issues.append(SyntaxIssue(cell.address, str(exc), exc.position))
+                issues.append(SyntaxIssue(address, str(exc), exc.position))
                 continue
-        formulas[cell.address] = ast
+        formulas[address] = ast
     return formulas, SyntaxReport(tuple(issues))
 
 

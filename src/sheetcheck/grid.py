@@ -1,7 +1,7 @@
 """Workbook, cell and value model plus the workbook file format.
 
 A workbook is an ordered collection of named sheets; each sheet maps cell
-addresses to cells holding either a constant value or a formula source
+addresses to their contents, either a constant value or a formula source
 string.  All types in this module are immutable after construction and can
 be shared freely between threads.
 
@@ -217,6 +217,8 @@ CellContent = Value | Formula
 
 @dataclass(frozen=True, slots=True)
 class Cell:
+    """An address and its content, built on demand by the accessors that return one."""
+
     address: CellAddress
     content: CellContent
 
@@ -227,11 +229,13 @@ class Cell:
 
 @dataclass(frozen=True)
 class Sheet:
+    """A named sheet: `cells` maps each listed address to its content; the rest are blank."""
+
     name: str
-    cells: Mapping[CellAddress, Cell]
+    cells: Mapping[CellAddress, CellContent]
 
     def sorted_cells(self) -> list[Cell]:
-        return [self.cells[a] for a in sorted(self.cells)]
+        return [Cell(a, self.cells[a]) for a in sorted(self.cells)]
 
 
 @dataclass(frozen=True)
@@ -255,20 +259,31 @@ class Workbook:
 
     def cell(self, address: CellAddress) -> Cell | None:
         s = self.sheet(address.sheet)
-        return s.cells.get(address) if s else None
+        content = s.cells.get(address) if s else None
+        return None if content is None else Cell(address, content)
 
     def content(self, address: CellAddress) -> CellContent:
         """Cell content at `address`; absent addresses read as Blank."""
-        cell = self.cell(address)
-        return cell.content if cell else BLANK
+        s = self.sheet(address.sheet)
+        return s.cells.get(address, BLANK) if s else BLANK
 
     def iter_cells(self) -> Iterator[Cell]:
         """All cells, sheets in workbook order, row-major within each sheet."""
         for s in self.sheets:
             yield from s.sorted_cells()
 
+    def formula_items(self) -> list[tuple[CellAddress, Formula]]:
+        """(address, formula) per formula cell, sheets in workbook order, row-major within each.
+
+        Only the formula cells are sorted.
+        """
+        items: list[tuple[CellAddress, Formula]] = []
+        for s in self.sheets:
+            items += sorted([(a, c) for a, c in s.cells.items() if isinstance(c, Formula)])
+        return items
+
     def formula_cells(self) -> list[Cell]:
-        return [c for c in self.iter_cells() if c.is_formula]
+        return [Cell(a, f) for a, f in self.formula_items()]
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +336,7 @@ def _sheet_from_doc(doc: Any, position: str, numbers: dict[int | float, CellCont
     cells_doc = doc.get("cells", {})
     if not isinstance(cells_doc, dict):
         raise WorkbookFormatError(f"sheet {name!r}: cells must be an object")
-    cells: dict[CellAddress, Cell] = {}
+    cells: dict[CellAddress, CellContent] = {}
     columns: dict[str, int] = {}  # column index by letters
     address_of = CellAddress._trusted  # the key pattern admits no row or column below 1
     for key, raw in cells_doc.items():
@@ -343,7 +358,7 @@ def _sheet_from_doc(doc: Any, position: str, numbers: dict[int | float, CellCont
                 content = numbers[raw] = _classify(raw, address)
         else:
             content = _classify(raw, address)
-        cells[address] = Cell(address, content)
+        cells[address] = content
     return Sheet(name, cells)
 
 
@@ -408,9 +423,9 @@ def write_workbook(workbook: Workbook) -> str:
             {
                 "name": sheet.name,
                 "cells": {
-                    cell.address.text(): _encode(cell.content)
-                    for cell in sheet.sorted_cells()
-                    if not isinstance(cell.content, Blank)
+                    address.text(): _encode(content)
+                    for address, content in sorted(sheet.cells.items())
+                    if not isinstance(content, Blank)
                 },
             }
             for sheet in workbook.sheets

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal
 from .graph import terminals
-from .grid import BLANK, Blank, Cell, CellAddress, Sheet, Value, Workbook, row_major
+from .grid import BLANK, Blank, CellAddress, Sheet, Value, Workbook, row_major
 
 # Not called here since matching takes analysed workbooks, which hold their
 # evaluated grid, graph and parsed contents; the benchmark's tracer
@@ -224,13 +224,13 @@ def _apply_replacements(submission: Workbook, replacements: dict[CellAddress, Va
             if isinstance(value, Blank):
                 cells.pop(address, None)
             else:
-                cells[address] = Cell(address, value)
+                cells[address] = value
         sheets.append(Sheet(sheet.name, cells))
-    extra: dict[str, dict[CellAddress, Cell]] = {}
+    extra: dict[str, dict[CellAddress, Value]] = {}
     for address, value in replacements.items():
         if address.sheet in known or isinstance(value, Blank):
             continue
-        extra.setdefault(address.sheet, {})[address] = Cell(address, value)
+        extra.setdefault(address.sheet, {})[address] = value
     for name in sorted(extra):
         sheets.append(Sheet(name, extra[name]))
     return Workbook(submission.name, tuple(sheets))

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -26,6 +27,22 @@ def addr(text: str, sheet: str = "Sheet1") -> CellAddress:
 
 def texts(addresses) -> list[str]:
     return [a.text() for a in addresses]
+
+
+def python_calls(function, *args):
+    """`function(*args)` and the Python-level calls it made, generator resumptions included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @pytest.fixture

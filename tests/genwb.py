@@ -288,9 +288,9 @@ def mutate_one_formula(
     if mutated == ast:
         return None
     new_cells = dict(sheet.cells)
-    from sheetcheck.grid import Cell, Formula
+    from sheetcheck.grid import Formula
 
-    new_cells[target.address] = Cell(target.address, Formula("=" + render_formula(mutated, SHEET)))
+    new_cells[target.address] = Formula("=" + render_formula(mutated, SHEET))
     from sheetcheck.grid import Sheet as GridSheet
 
     mutated_workbook = Workbook(workbook.name, (GridSheet(sheet.name, new_cells),))

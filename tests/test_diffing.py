@@ -2,22 +2,21 @@ from hypothesis import given, strategies as st
 
 from sheetcheck import ErrorCategory, analyze, diff_formula, levenshtein, spelling_hint
 from sheetcheck.diffing import spelling_threshold
-from sheetcheck.grid import Cell, Formula, Number, Sheet, Text, Workbook
+from sheetcheck.grid import Formula, Number, Sheet, Text, Workbook
 
 from conftest import addr
 
 
-def cell(text, content):
+def cell_content(content):
     if isinstance(content, str) and content.startswith("="):
-        return Cell(addr(text), Formula(content))
+        return Formula(content)
     if isinstance(content, str):
-        return Cell(addr(text), Text(content))
-    return Cell(addr(text), Number(float(content)))
+        return Text(content)
+    return Number(float(content))
 
 
 def single_cell_workbook(name, content, at):
-    only = cell(at, content)
-    return Workbook(name, (Sheet("Sheet1", {only.address: only}),))
+    return Workbook(name, (Sheet("Sheet1", {addr(at): cell_content(content)}),))
 
 
 def diff(solution_content, submission_content, at="D3"):
@@ -242,7 +241,7 @@ def test_reference_repair_validity(grades):
     detail = diff("=AVG(C3:C5)", "=(C3+C4+D5)/3", at="C6")
     repaired = "=(C3+C4+C5)/3"  # found D5 swapped for the missing C5
     value = evaluate_ast(parse_formula(repaired), solution_grid)
-    assert values_equal(value, solution_grid[cell("C6", "=AVG(C3:C5)").address])
+    assert values_equal(value, solution_grid[addr("C6")])
 
 
 def test_randomized_reference_repair_identifies_the_swap():

@@ -1,6 +1,5 @@
 import importlib
 import random
-import sys
 
 import pytest
 
@@ -16,10 +15,11 @@ from sheetcheck import (
     evaluate,
     values_equal,
 )
-from sheetcheck.evaluate import DIV_ZERO, cell_value, evaluate_ast, workbook_contents
-from sheetcheck.formulas import parse_formula
+from sheetcheck.evaluate import CYCLE, DIV_ZERO, cell_value, evaluate_ast, workbook_contents
+from sheetcheck.feedback import analyze
+from sheetcheck.formulas import parse_formula, parse_workbook
 
-from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
+from conftest import addr, fill_down_cells, make_workbook, python_calls, range_sum_cells, texts
 from genwb import GenConfig, WorkbookGen
 from oracle_cases import ORACLE_CASES
 
@@ -247,16 +247,34 @@ def test_a_range_argument_costs_one_python_call_per_member():
     # generator frame resumed per member around it.
     contents = workbook_contents(make_workbook(range_sum_cells(100, 100)))
     memo = {address: value for address, value in contents.items() if address != addr("A102")}
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        value = cell_value(contents, frozenset({"Sheet1"}), addr("A102"), memo)
-    finally:
-        sys.setprofile(None)
+    value, calls = python_calls(cell_value, contents, frozenset({"Sheet1"}), addr("A102"), memo)
     assert value == Number(sum((r * 100 + c) % 9 + 1 for r in range(1, 101) for c in range(1, 101)))
     assert calls <= 10_000 + 50
+
+
+def test_analysing_constants_makes_no_python_call_per_cell():
+    # Reading the contents, evaluating and keeping the parsed formulas run
+    # in C per constant cell: no Cell, no sort of every cell, no scan with
+    # a Python-level test per cell.
+    cells = range_sum_cells(100, 100)
+    cells["A102"] = "=1+2"
+    workbook = make_workbook(cells)
+
+    def analysed():
+        formulas, syntax = parse_workbook(workbook)
+        return analyze(workbook, formulas)
+
+    analysis, calls = python_calls(analysed)
+    assert analysis.grid[addr("A102")] == Number(3.0)
+    assert len(analysis.grid) == len(analysis.contents) == 10_001
+    assert list(analysis.formulas) == [addr("A102")]
+    assert calls <= 200
+
+
+def test_evaluation_starts_in_row_major_order_whatever_the_file_order():
+    # Entered at A1, the cycle reads CYCLE in B1, whose 1/0 comes first;
+    # entered at B1, A1 would read CYCLE.
+    cells = {"A1": "=B1", "B1": "=1/0+A1"}
+    for ordered in (cells, dict(reversed(cells.items()))):
+        assert grid_of(ordered) == {addr("A1"): DIV_ZERO, addr("B1"): DIV_ZERO}
+    assert grid_of({"B1": "=B2", "B2": "=B1"}) == {addr("B1"): CYCLE, addr("B2"): CYCLE}

@@ -16,11 +16,13 @@ from sheetcheck import (
     header_context,
     load_bundle,
     lookup_annotations,
+    read_workbook,
     render_json,
     render_text,
+    write_workbook,
 )
 
-from conftest import addr, fill_down_cells, make_workbook
+from conftest import addr, fill_down_cells, make_workbook, python_calls, range_sum_cells
 
 
 # ---------------------------------------------------------------- golden levels
@@ -412,6 +414,12 @@ def test_bundle_rejects_cyclic_reference():
         load_bundle(doc)
 
 
+def test_bundle_validate_makes_no_python_call_per_value():
+    bundle = TaskBundle(task="range", reference=make_workbook(range_sum_cells(100, 100)))
+    assert len(bundle.reference_analysis.grid) == 10_001
+    assert python_calls(bundle.validate)[1] < 50
+
+
 def test_bundle_rejects_syntax_errors_in_reference():
     doc = {
         "task": "t",
@@ -585,11 +593,10 @@ def test_long_difference_inside_a_sum_gets_a_report(level):
 
 @pytest.mark.parametrize("level", range(1, 8))
 def test_overflowing_literal_gets_a_report(grades, level):
-    from sheetcheck import Cell, Formula, Sheet, Workbook
+    from sheetcheck import Formula, Sheet, Workbook
 
     sheet = grades.submission.sheets[0]
-    d3 = addr("D3")
-    cells = {**sheet.cells, d3: Cell(d3, Formula("=1e999"))}
+    cells = {**sheet.cells, addr("D3"): Formula("=1e999")}
     submission = Workbook(grades.submission.name, (Sheet(sheet.name, cells),))
     report = generate_feedback(grades.bundle, submission, level, force_quality=(level == 7))
     assert report.status is Status.FAIL
@@ -628,3 +635,30 @@ def test_long_fill_down_chain_gets_a_report(up):
     assert len(level3.diagnoses) == n + 1
     level6 = generate_feedback(bundle, submission, 6)
     assert list(level6.messages) == [f"The constant '1' should be used in cell {start}."]
+
+
+def _keys_reversed(workbook):
+    """The workbook read back from a file that lists each sheet's cells in reverse."""
+    doc = json.loads(write_workbook(workbook))
+    for sheet in doc["sheets"]:
+        sheet["cells"] = dict(reversed(sheet["cells"].items()))
+    return read_workbook(json.dumps(doc))
+
+
+def _cycle_topped_chain():
+    reference = make_workbook(fill_down_cells(50, True, 1))
+    submission = make_workbook({**fill_down_cells(50, True, "=B1"), "B1": "=A1"})
+    return TaskBundle(task="chain", reference=reference).validate(), submission
+
+
+@pytest.mark.parametrize("case", ("grades", "cycle-topped chain"))
+def test_reports_do_not_depend_on_the_order_of_cells_in_the_file(grades, case):
+    bundle, submission = (grades.bundle, grades.submission) if case == "grades" else _cycle_topped_chain()
+    reversed_submission = _keys_reversed(submission)
+    assert list(reversed_submission.sheets[0].cells) != list(submission.sheets[0].cells)
+    for level in range(1, 8):
+        reports = [
+            render_json(generate_feedback(bundle, workbook, level, force_quality=(level == 7)))
+            for workbook in (submission, reversed_submission)
+        ]
+        assert reports[0] == reports[1]

@@ -175,8 +175,9 @@ def test_read_equal_numbers_keep_their_type_and_sign(cells, expected):
     assert [repr(wb.content(addr(key))) for key in cells] == expected
 
 
-def test_reading_keeps_two_tracked_objects_per_constant_cell():
-    # The address and the Cell: equal numbers of a workbook share one Number.
+def test_reading_keeps_one_tracked_object_per_constant_cell():
+    # The address: a sheet maps it to the content, and equal numbers of a
+    # workbook share one Number.
     cells = range_sum_cells(100, 10)
     text = json.dumps({"name": "x", "sheets": [{"name": "S", "cells": cells}]})
     read_workbook(text)
@@ -186,7 +187,7 @@ def test_reading_keeps_two_tracked_objects_per_constant_cell():
     gc.collect()
     kept = len(gc.get_objects()) - before
     assert len(workbook.sheets[0].cells) == 1001
-    assert kept <= 2 * 1001 + 50
+    assert kept <= 1001 + 50
 
 
 def test_blank_closure():
