@@ -139,7 +139,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     analysis = _checked_analysis(args)
     if analysis is None:
         return 2
-    sys.stdout.write(export_dot(analysis.graph))
+    sys.stdout.write(export_dot(analysis))
     return 0
 
 

@@ -390,17 +390,14 @@ def checked_formulas(workbook: Workbook) -> dict[CellAddress, FormulaAst]:
     return formulas
 
 
-def workbook_contents(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> Contents:
-    """Merge a workbook's sheets into one address map of values and parsed formulas.
+def workbook_contents(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst]) -> Contents:
+    """Merge a workbook's sheets into one new address map of values and parsed formulas.
 
     The map is in file order: sheets in workbook order, each sheet's cells
     in the order the sheet lists them.  `formulas` are the workbook's
     parsed formula cells as `parse_workbook` returns them for a workbook
-    without syntax errors; without them the workbook is parsed here (see
-    `checked_formulas`).
+    without syntax errors (see `checked_formulas`).
     """
-    if formulas is None:
-        formulas = checked_formulas(workbook)
     contents: Contents = {}
     for sheet in workbook.sheets:
         contents.update(sheet.cells)
@@ -465,27 +462,22 @@ def cell_value(
     return memo[address]
 
 
-def evaluate(
-    workbook: Workbook,
-    contents: Contents | None = None,
-    formulas: Mapping[CellAddress, FormulaAst] | None = None,
-) -> dict[CellAddress, Value]:
+def evaluate(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> dict[CellAddress, Value]:
     """Evaluate every cell of a workbook.
 
     The result covers every constant cell, every formula cell and every
     cell referenced by a formula (blank when absent); referenced addresses
     on nonexistent sheets are not part of the grid, the referring formula
-    simply evaluates to BAD_REF.  `contents` are the workbook's
-    `workbook_contents` and `formulas` its parsed formula cells (see
-    `checked_formulas`), each built here when not given; the workbook must
-    have passed the syntax check.  Evaluation starts at the formula cells
-    in the order of `formulas`, which decides where CYCLE lands, so it does
-    not depend on the order a file lists its cells in.
+    simply evaluates to BAD_REF.  `formulas` are the workbook's parsed
+    formula cells (see `checked_formulas`), parsed here when not given;
+    the workbook must have passed the syntax check.  Evaluation starts at
+    the formula cells in the order of `formulas`, which decides where
+    CYCLE lands, so it does not depend on the order a file lists its
+    cells in.
     """
     if formulas is None:
         formulas = checked_formulas(workbook)
-    if contents is None:
-        contents = workbook_contents(workbook, formulas)
+    contents = workbook_contents(workbook, formulas)
     sheets = frozenset(workbook.sheet_names())
     memo = dict(contents)
     for address in formulas:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .diffing import ErrorCategory, ErrorDetail, diff_formula
-from .evaluate import DEFAULT_TOLERANCE, Contents, Tolerance, checked_formulas, evaluate, workbook_contents
+from .evaluate import DEFAULT_TOLERANCE, Tolerance, checked_formulas, evaluate
 from .formulas import FormulaAst, SyntaxReport, parse_workbook
 
 # Not called here since reports run the single parse pass; the benchmark's
@@ -29,6 +29,7 @@ from .formulas import FormulaAst, SyntaxReport, parse_workbook
 from .formulas import syntax_check  # noqa: F401
 from .graph import DependencyGraph, build_graph
 from .grid import (
+    AddressError,
     CellAddress,
     CellError,
     ErrorKind,
@@ -39,6 +40,7 @@ from .grid import (
     read_workbook,
     row_major,
     workbook_from_doc,
+    write_workbook,
 )
 from .matching import MatchResult, match_values
 from .quality import (
@@ -65,30 +67,27 @@ class TaskConfigError(ValueError):
 
 
 class WorkbookAnalysis:
-    """A syntax-checked workbook with its contents, grid, graph and quality metrics.
+    """A syntax-checked workbook with its parsed formulas, grid, graph and quality metrics.
 
     `formulas` maps each formula cell to its parsed AST as `parse_workbook`
     returns them: sheets in workbook order, row-major within each sheet.
-    `contents` maps each cell, in file order, to its value or, for a
-    formula cell, its AST (see `evaluate.workbook_contents`).  The workbook
-    is parsed here when they are not given.  `canonical` maps each formula
-    cell, in the order of `formulas`, to its canonical form; the graph,
-    metrics and quality checks read formulas only from here.  Those and
-    the graph and metrics are computed on first use.  The reference of a
-    task bundle is analysed once per bundle, a submission once per report.
+    `grid` is the workbook's evaluation (see `evaluate.evaluate`).
+    `canonical` maps each formula cell, in the order of `formulas`, to its
+    canonical form; the graph, metrics and quality checks read formulas
+    only from here.  Those and the graph and metrics are computed on first
+    use.  The reference of a task bundle is analysed once per bundle, a
+    submission once per report; `analyze` builds an analysis.
     """
 
     def __init__(
         self,
         workbook: Workbook,
+        formulas: Mapping[CellAddress, FormulaAst],
         grid: dict[CellAddress, Value],
-        contents: Contents | None = None,
-        formulas: Mapping[CellAddress, FormulaAst] | None = None,
     ):
         self.workbook = workbook
+        self.formulas = formulas
         self.grid = grid
-        self.formulas = checked_formulas(workbook) if formulas is None else formulas
-        self.contents = workbook_contents(workbook, self.formulas) if contents is None else contents
 
     @cached_property
     def canonical(self) -> dict[CellAddress, FormulaAst]:
@@ -111,8 +110,7 @@ def analyze(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | Non
     """
     if formulas is None:
         formulas = checked_formulas(workbook)
-    contents = workbook_contents(workbook, formulas)
-    return WorkbookAnalysis(workbook, evaluate(workbook, contents, formulas), contents, formulas)
+    return WorkbookAnalysis(workbook, formulas, evaluate(workbook, formulas))
 
 
 # --------------------------------------------------------------------------
@@ -195,8 +193,6 @@ def _normalize_keywords(raw: Iterable[str]) -> tuple[str, ...]:
 
 
 def _parse_range(text: str, sheet: str) -> tuple[CellAddress, CellAddress]:
-    from .grid import AddressError
-
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -276,8 +272,6 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel", least=0),
     )
 
-    from .grid import AddressError
-
     graded_doc = _section(doc, "graded_cells", list, "graded_cells")
     if graded_doc is not None and not all(isinstance(text, str) for text in graded_doc):
         raise TaskConfigError("task bundle field 'graded_cells' must list cell addresses as text")
@@ -338,8 +332,6 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
 
 def dump_bundle(bundle: TaskBundle) -> str:
     """Serialize a bundle with an inline reference workbook."""
-    from .grid import write_workbook
-
     doc: dict[str, Any] = {
         "task": bundle.task,
         "reference": json.loads(write_workbook(bundle.reference)),

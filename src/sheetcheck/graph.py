@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
 from .formulas import references_of
-from .grid import BLANK, CellAddress, Number, Value, format_value, row_major
+from .grid import BLANK, CellAddress, Number, format_value, row_major
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
@@ -34,7 +34,6 @@ class CycleError(ValueError):
 @dataclass(frozen=True)
 class DependencyGraph:
     nodes: tuple[CellAddress, ...]
-    values: Mapping[CellAddress, Value]
     out_edges: Mapping[CellAddress, tuple[CellAddress, ...]]
     in_edges: Mapping[CellAddress, tuple[CellAddress, ...]]
 
@@ -73,17 +72,19 @@ class DependencyGraph:
 
 
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
-    """Build the dependency graph of an analysed workbook, annotated with its grid values.
+    """Build the dependency graph of an analysed workbook.
 
-    The edges come from the analysis's parsed formulas.  References to
-    absent cells create nodes annotated Blank; references to nonexistent
-    sheets create nodes annotated BAD_REF.  A node that is a workbook cell
-    is the workbook's own address object, and equal in-edge tuples are
-    one shared tuple, so the cells of a large range cost the graph two
-    dict entries each.
+    The edges come from the analysis's parsed formulas; references to
+    absent cells and to nonexistent sheets create nodes too.  A node that
+    is a workbook cell is the workbook's own address object, and equal
+    in-edge tuples are one shared tuple, so the cells of a large range
+    cost the graph two dict entries each.
     """
-    formulas, grid = analysis.formulas, analysis.grid
-    own = {address: address for address in analysis.contents}
+    formulas = analysis.formulas
+    own: dict[CellAddress, CellAddress] = {}
+    for sheet in analysis.workbook.sheets:
+        cells = sheet.cells
+        own.update(zip(cells, cells))
     out_edges: dict[CellAddress, tuple[CellAddress, ...]] = {}
     in_edges: dict[CellAddress, tuple[CellAddress, ...] | list[CellAddress]] = {}
     # Formula cells in row-major order, so every in-edge list comes out
@@ -109,12 +110,7 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
             in_edges[node] = shared.setdefault(sources, sources)
     # The keys come in row-major runs, which the sort merges in about linear time.
     nodes = row_major({**out_edges, **in_edges})
-    values: dict[CellAddress, Value] = dict(zip(nodes, map(grid.get, nodes, repeat(BLANK))))
-    sheet_names = set(analysis.workbook.sheet_names())
-    for node in in_edges.keys() - own.keys():  # referenced cells that hold nothing
-        if node.sheet not in sheet_names:
-            values[node] = BAD_REF
-    return DependencyGraph(nodes, values, out_edges, in_edges)
+    return DependencyGraph(nodes, out_edges, in_edges)
 
 
 def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
@@ -173,19 +169,22 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: DependencyGraph) -> str:
-    """Render the graph as a Graphviz digraph.
+def export_dot(analysis: WorkbookAnalysis) -> str:
+    """Render an analysed workbook's dependency graph as a Graphviz digraph.
 
-    Node labels show "ADDRESS: value" with numbers at two decimal places;
-    output nodes are filled red, input nodes green.  Output is
-    deterministic: nodes and edges appear in row-major order.
+    Node labels show "ADDRESS: value" from the grid, with numbers at two
+    decimal places; a cell on a nonexistent sheet shows #REF!.  Output
+    nodes are filled red, input nodes green.  Output is deterministic:
+    nodes and edges appear in row-major order.
     """
+    graph, grid = analysis.graph, analysis.grid
+    sheets = set(analysis.workbook.sheet_names())
     multi_sheet = len({node.sheet for node in graph.nodes}) > 1
     outputs, inputs = terminals(graph)
     output_set, input_set = set(outputs), set(inputs)
     lines = ["digraph dependencies {"]
     for node in graph.nodes:
-        value = graph.values.get(node, BLANK)
+        value = grid.get(node, BLANK if node.sheet in sheets else BAD_REF)
         shown = f"{value.value:.2f}" if isinstance(value, Number) else format_value(value)
         name = node.text(qualified=multi_sheet)
         attrs = [f"label={_dot_quote(f'{name}: {shown}')}"]

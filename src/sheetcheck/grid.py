@@ -26,7 +26,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 
 class AddressError(ValueError):
@@ -215,27 +215,12 @@ class Formula:
 CellContent = Value | Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """An address and its content, built on demand by the accessors that return one."""
-
-    address: CellAddress
-    content: CellContent
-
-    @property
-    def is_formula(self) -> bool:
-        return isinstance(self.content, Formula)
-
-
 @dataclass(frozen=True)
 class Sheet:
     """A named sheet: `cells` maps each listed address to its content; the rest are blank."""
 
     name: str
     cells: Mapping[CellAddress, CellContent]
-
-    def sorted_cells(self) -> list[Cell]:
-        return [Cell(a, self.cells[a]) for a in sorted(self.cells)]
 
 
 @dataclass(frozen=True)
@@ -257,20 +242,10 @@ class Workbook:
                 return s
         return None
 
-    def cell(self, address: CellAddress) -> Cell | None:
-        s = self.sheet(address.sheet)
-        content = s.cells.get(address) if s else None
-        return None if content is None else Cell(address, content)
-
     def content(self, address: CellAddress) -> CellContent:
         """Cell content at `address`; absent addresses read as Blank."""
         s = self.sheet(address.sheet)
         return s.cells.get(address, BLANK) if s else BLANK
-
-    def iter_cells(self) -> Iterator[Cell]:
-        """All cells, sheets in workbook order, row-major within each sheet."""
-        for s in self.sheets:
-            yield from s.sorted_cells()
 
     def formula_items(self) -> list[tuple[CellAddress, Formula]]:
         """(address, formula) per formula cell, sheets in workbook order, row-major within each.
@@ -281,9 +256,6 @@ class Workbook:
         for s in self.sheets:
             items += sorted([(a, c) for a, c in s.cells.items() if isinstance(c, Formula)])
         return items
-
-    def formula_cells(self) -> list[Cell]:
-        return [Cell(a, f) for a, f in self.formula_items()]
 
 
 # --------------------------------------------------------------------------

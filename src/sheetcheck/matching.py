@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal
+from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
 from .graph import terminals
 from .grid import BLANK, Blank, CellAddress, Sheet, Value, Workbook, row_major
 
 # Not called here since matching takes analysed workbooks, which hold their
-# evaluated grid, graph and parsed contents; the benchmark's tracer
-# (perfbench/tracing.py) still wraps these three names in this module.
-from .evaluate import evaluate, workbook_contents  # noqa: F401
+# evaluated grid and graph; the benchmark's tracer (perfbench/tracing.py)
+# still wraps these two names in this module.
+from .evaluate import evaluate  # noqa: F401
 from .graph import build_graph  # noqa: F401
 
 if TYPE_CHECKING:
@@ -128,7 +128,7 @@ def match_values(
     nodes, acyclic = submission.graph.nodes, submission.graph.acyclic_order
     cyclic = set(nodes).difference(acyclic) if len(acyclic) < len(nodes) else frozenset()
 
-    working = dict(submission.contents)
+    working = workbook_contents(submission.workbook, submission.formulas)
     working_sheets = set(submission.workbook.sheet_names())
     memo = dict(submission_grid)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from sheetcheck import (
     CellAddress,
+    Formula,
     Workbook,
     parse_formula,
     read_workbook,
@@ -250,13 +251,13 @@ def mutate_one_formula(
     ever points at a cell that precedes the mutated cell row-major.
     """
     sheet = workbook.sheets[0]
-    formula_cells = [c for c in sheet.sorted_cells() if c.is_formula]
+    formula_cells = [(a, c) for a, c in sorted(sheet.cells.items()) if isinstance(c, Formula)]
     if not formula_cells:
         return None
-    ordered = [c.address for c in sheet.sorted_cells()]
-    target = rng.choice(formula_cells)
-    ast = parse_formula(target.content.source, SHEET)
-    earlier = [a for a in ordered if a.key < target.address.key]
+    ordered = sorted(sheet.cells)
+    target, formula = rng.choice(formula_cells)
+    ast = parse_formula(formula.source, SHEET)
+    earlier = [a for a in ordered if a.key < target.key]
 
     options = []
     if _binary_paths(ast):
@@ -288,10 +289,8 @@ def mutate_one_formula(
     if mutated == ast:
         return None
     new_cells = dict(sheet.cells)
-    from sheetcheck.grid import Formula
-
-    new_cells[target.address] = Formula("=" + render_formula(mutated, SHEET))
+    new_cells[target] = Formula("=" + render_formula(mutated, SHEET))
     from sheetcheck.grid import Sheet as GridSheet
 
     mutated_workbook = Workbook(workbook.name, (GridSheet(sheet.name, new_cells),))
-    return mutated_workbook, target.address, mutated
+    return mutated_workbook, target, mutated

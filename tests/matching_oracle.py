@@ -18,7 +18,7 @@ from sheetcheck import (
     terminals,
     values_equal,
 )
-from sheetcheck.evaluate import BAD_REF, CYCLE, _eval, workbook_contents
+from sheetcheck.evaluate import BAD_REF, CYCLE, _eval, checked_formulas, workbook_contents
 from sheetcheck.grid import VALUE_TYPES
 from sheetcheck.matching import ComparePhase, MatchResult, TraceEntry, _apply_replacements
 
@@ -49,10 +49,12 @@ def cell_value(contents, sheets, address, memo, visiting=None):
 
 
 def evaluate(workbook):
-    contents = workbook_contents(workbook)
+    """Every cell's value; evaluation starts at the formula cells, as the engine's does."""
+    formulas = checked_formulas(workbook)
+    contents = workbook_contents(workbook, formulas)
     sheets = frozenset(workbook.sheet_names())
     memo = {}
-    for address in contents:
+    for address in [*formulas, *contents]:
         cell_value(contents, sheets, address, memo)
     return {address: value for address, value in memo.items() if address.sheet in sheets}
 
@@ -60,10 +62,10 @@ def evaluate(workbook):
 def match_values(reference, submission, tolerance=DEFAULT_TOLERANCE, graded=None):
     """Fresh-memo matching of two workbooks; same contract as the engine's."""
     reference_grid = evaluate(reference)
-    reference_graph = build_graph(WorkbookAnalysis(reference, reference_grid))
+    reference_graph = build_graph(WorkbookAnalysis(reference, checked_formulas(reference), reference_grid))
     submission_grid = evaluate(submission)
 
-    working = workbook_contents(submission)
+    working = workbook_contents(submission, checked_formulas(submission))
     working_sheets = set(submission.sheet_names())
     roots = row_major(graded) if graded is not None else terminals(reference_graph)[0]
 

@@ -121,7 +121,8 @@ def test_c02_propagation_repair():
 
 def test_c03_graph_structure():
     fixture = load_fixture("grades")
-    graph = build_graph(analyze(fixture.solution))
+    analysis = analyze(fixture.solution)
+    graph = build_graph(analysis)
 
     outputs, inputs = terminals(graph)
     assert texts(outputs) == ["B6", "C6", "D6"]
@@ -133,19 +134,19 @@ def test_c03_graph_structure():
     # 2+2+2 for the three pairwise averages plus 3+3+3 for the range
     # aggregates, fifteen edges in total.
     reference_sum = sum(
-        len(references_of(parse_formula(c.content.source, c.address.sheet)))
-        for c in fixture.solution.formula_cells()
+        len(references_of(parse_formula(f.source, a.sheet)))
+        for a, f in fixture.solution.formula_items()
     )
     assert reference_sum == 15
     assert graph.edge_count == reference_sum
 
-    dot = export_dot(graph)
+    dot = export_dot(analysis)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == graph.edge_count
     node_lines = [line for line in dot.splitlines() if "label=" in line]
     assert len(node_lines) == 12
     assert '"D6" [label="D6: 74.33", style=filled, fillcolor=red];' in dot
-    assert dot == export_dot(build_graph(analyze(fixture.solution)))
+    assert dot == export_dot(analyze(fixture.solution))
     print("criterion 3 (dependency graph structure and DOT export): PASS")
 
 
@@ -228,13 +229,13 @@ def test_c06_canonicalization_soundness():
     for index in range(CORPUS_SIZE):
         workbook = gen.workbook(f"canon-{index}")
         grid = evaluate(workbook)
-        for cell in workbook.formula_cells():
-            ast = parse_formula(cell.content.source, cell.address.sheet)
+        for address, formula in workbook.formula_items():
+            ast = parse_formula(formula.source, address.sheet)
             canonical = canonicalize(ast)
-            assert canonicalize(canonical) == canonical, f"workbook {index} {cell.address}"
+            assert canonicalize(canonical) == canonical, f"workbook {index} {address}"
             value = evaluate_ast(canonical, grid)
-            assert values_equal(grid[cell.address], value), (
-                f"workbook {index} {cell.address}: {grid[cell.address]} vs {value}"
+            assert values_equal(grid[address], value), (
+                f"workbook {index} {address}: {grid[address]} vs {value}"
             )
             formulas_checked += 1
     assert formulas_checked > CORPUS_SIZE  # several formulas per workbook

@@ -188,8 +188,8 @@ def test_constants_match_under_tolerance():
 
 def test_identical_formulas_have_empty_diffs(grades):
     analysis = analyze(grades.solution)
-    for cell_obj in grades.solution.formula_cells():
-        detail = diff_formula(analysis, analysis, cell_obj.address)
+    for address, _ in grades.solution.formula_items():
+        detail = diff_formula(analysis, analysis, address)
         assert detail.category is ErrorCategory.UNCLASSIFIED
         assert detail.expected == () and detail.found == () and detail.extras == ()
 

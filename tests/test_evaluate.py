@@ -15,7 +15,7 @@ from sheetcheck import (
     evaluate,
     values_equal,
 )
-from sheetcheck.evaluate import CYCLE, DIV_ZERO, cell_value, evaluate_ast, workbook_contents
+from sheetcheck.evaluate import CYCLE, DIV_ZERO, cell_value, checked_formulas, evaluate_ast, workbook_contents
 from sheetcheck.feedback import analyze
 from sheetcheck.formulas import parse_formula, parse_workbook
 
@@ -157,7 +157,7 @@ def naive_fixpoint(workbook):
     """Reference evaluator: recompute every formula until nothing changes."""
     from sheetcheck.grid import VALUE_TYPES
 
-    contents = workbook_contents(workbook)
+    contents = workbook_contents(workbook, checked_formulas(workbook))
     values = {}
     asts = {}
     for a, c in contents.items():
@@ -245,7 +245,8 @@ def test_evaluate_starts_cell_value_only_at_formula_cells(monkeypatch):
 def test_a_range_argument_costs_one_python_call_per_member():
     # SUM(A1:CV100): each member is one call of the resolver, with no
     # generator frame resumed per member around it.
-    contents = workbook_contents(make_workbook(range_sum_cells(100, 100)))
+    workbook = make_workbook(range_sum_cells(100, 100))
+    contents = workbook_contents(workbook, checked_formulas(workbook))
     memo = {address: value for address, value in contents.items() if address != addr("A102")}
     value, calls = python_calls(cell_value, contents, frozenset({"Sheet1"}), addr("A102"), memo)
     assert value == Number(sum((r * 100 + c) % 9 + 1 for r in range(1, 101) for c in range(1, 101)))
@@ -253,7 +254,7 @@ def test_a_range_argument_costs_one_python_call_per_member():
 
 
 def test_analysing_constants_makes_no_python_call_per_cell():
-    # Reading the contents, evaluating and keeping the parsed formulas run
+    # Merging the contents, evaluating and keeping the parsed formulas run
     # in C per constant cell: no Cell, no sort of every cell, no scan with
     # a Python-level test per cell.
     cells = range_sum_cells(100, 100)
@@ -266,7 +267,7 @@ def test_analysing_constants_makes_no_python_call_per_cell():
 
     analysis, calls = python_calls(analysed)
     assert analysis.grid[addr("A102")] == Number(3.0)
-    assert len(analysis.grid) == len(analysis.contents) == 10_001
+    assert len(analysis.grid) == len(workbook.sheets[0].cells) == 10_001
     assert list(analysis.formulas) == [addr("A102")]
     assert calls <= 200
 

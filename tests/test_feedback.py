@@ -51,8 +51,8 @@ def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch)
     monkeypatch.setattr(quality, "canonicalize", counting)
     generate_feedback(grades.bundle, grades.submission, 7, force_quality=True)
     formulas = Counter(
-        parse_formula(cell.content.source, cell.address.sheet)
-        for cell in grades.submission.formula_cells()
+        parse_formula(formula.source, address.sheet)
+        for address, formula in grades.submission.formula_items()
     )
     assert len(formulas) > 1 and calls == formulas
 
@@ -61,8 +61,8 @@ def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch)
 def test_each_submission_formula_is_parsed_once(grades, parses, level):
     # Cells whose text matches a reference formula reuse its AST, and the
     # bundle's reference was parsed when it was loaded.
-    reference = {(c.content.source, c.address.sheet) for c in grades.bundle.reference.formula_cells()}
-    texts = [(c.content.source, c.address.sheet) for c in grades.submission.formula_cells()]
+    reference = {(f.source, a.sheet) for a, f in grades.bundle.reference.formula_items()}
+    texts = [(f.source, a.sheet) for a, f in grades.submission.formula_items()]
     generate_feedback(grades.bundle, grades.submission, level, force_quality=(level == 7))
     expected = Counter(text for text in texts if text not in reference)
     assert 0 < len(expected) < len(texts) and parses == expected
@@ -107,7 +107,7 @@ def test_level_6_canonicalizes_each_formula_error_once(grades, monkeypatch):
         monkeypatch.setattr(module, "canonicalize", counting)
     report = generate_feedback(grades.bundle, grades.submission, 6)
     errors = [d.cell for d in report.diagnoses if d.kind is DiagnosisKind.FORMULA_ERROR]
-    submitted = [parse_formula(grades.submission.cell(a).content.source, a.sheet) for a in errors]
+    submitted = [parse_formula(grades.submission.content(a).source, a.sheet) for a in errors]
     assert len(submitted) == 2
     assert [calls[ast] for ast in submitted] == [1, 1]
 
@@ -178,8 +178,8 @@ def test_a_second_report_canonicalizes_no_reference_formula(grades, monkeypatch)
     for module in (diffing, quality):
         canonicalize = module.canonicalize
         monkeypatch.setattr(module, "canonicalize", lambda ast, c=canonicalize: calls.append(ast) or c(ast))
-    submitted = len(list(grades.submission.formula_cells()))
-    reference = len(list(bundle.reference.formula_cells()))
+    submitted = len(grades.submission.formula_items())
+    reference = len(bundle.reference.formula_items())
     generate_feedback(bundle, grades.submission, 6)
     assert len(calls) == submitted + reference
     calls.clear()

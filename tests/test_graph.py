@@ -19,8 +19,13 @@ def graph_of(cells):
 
 
 @pytest.fixture(scope="module")
-def solution_graph(grades):
-    return build_graph(analyze(grades.solution))
+def solution_analysis(grades):
+    return analyze(grades.solution)
+
+
+@pytest.fixture(scope="module")
+def solution_graph(solution_analysis):
+    return build_graph(solution_analysis)
 
 
 def test_solution_graph_node_set(solution_graph):
@@ -36,8 +41,8 @@ def test_solution_graph_d6_neighbors(solution_graph):
 
 def test_edge_count_matches_reference_sum(grades, solution_graph):
     total = 0
-    for cell in grades.solution.formula_cells():
-        total += len(references_of(parse_formula(cell.content.source, cell.address.sheet)))
+    for address, formula in grades.solution.formula_items():
+        total += len(references_of(parse_formula(formula.source, address.sheet)))
     assert solution_graph.edge_count == total
     assert solution_graph.edge_count == 15
 
@@ -49,11 +54,10 @@ def test_empty_graph():
 
 
 def test_reference_to_absent_cell_creates_blank_node():
-    graph = graph_of({"B1": "=A1"})
+    analysis = analyze(make_workbook({"B1": "=A1"}))
+    graph = analysis.graph
     assert texts(graph.nodes) == ["A1", "B1"]
-    from sheetcheck import BLANK
-
-    assert graph.values[addr("A1")] == BLANK
+    assert '"A1" [label="A1: ", style=filled, fillcolor=green];' in export_dot(analysis)
     assert graph.out_edges[addr("B1")] == (addr("A1"),)
 
 
@@ -102,8 +106,8 @@ def test_longest_chain_cycle_error():
     assert len(error.value.cycle) >= 2
 
 
-def test_dot_solution_labels_and_colors(grades, solution_graph):
-    dot = export_dot(solution_graph)
+def test_dot_solution_labels_and_colors(solution_analysis):
+    dot = export_dot(solution_analysis)
     assert dot.startswith("digraph")
     assert '"D6" [label="D6: 74.33", style=filled, fillcolor=red];' in dot
     assert '"B3" [label="B3: 92.00", style=filled, fillcolor=green];' in dot
@@ -112,20 +116,20 @@ def test_dot_solution_labels_and_colors(grades, solution_graph):
 
 
 def test_dot_empty_graph():
-    assert export_dot(graph_of({})) == "digraph dependencies {\n}\n"
+    assert export_dot(analyze(make_workbook({}))) == "digraph dependencies {\n}\n"
 
 
 def test_dot_single_edge():
-    dot = export_dot(graph_of({"B1": "=A1"}))
+    dot = export_dot(analyze(make_workbook({"B1": "=A1"})))
     assert dot.count("->") == 1
 
 
-def test_dot_deterministic(solution_graph):
-    assert export_dot(solution_graph) == export_dot(solution_graph)
+def test_dot_deterministic(solution_analysis):
+    assert export_dot(solution_analysis) == export_dot(solution_analysis)
 
 
-def test_dot_edge_count_matches(solution_graph):
-    dot = export_dot(solution_graph)
+def test_dot_edge_count_matches(solution_analysis, solution_graph):
+    dot = export_dot(solution_analysis)
     assert dot.count("->") == solution_graph.edge_count == 15
 
 
@@ -148,7 +152,7 @@ def test_dot_qualifies_nodes_across_sheets():
     from conftest import make_multi_workbook
 
     wb = make_multi_workbook({"Data": {"A1": 10}, "Main": {"B1": "=Data!A1*2"}})
-    dot = export_dot(build_graph(analyze(wb)))
+    dot = export_dot(analyze(wb))
     assert '"Main!B1" -> "Data!A1";' in dot
 
 
@@ -164,7 +168,7 @@ def test_longest_chain_of_a_long_fill_down_chain(up):
 def test_graph_nodes_are_the_workbooks_own_addresses():
     analysis = analyze(make_workbook(range_sum_cells(100, 100, short=True)))
     graph = build_graph(analysis)
-    own = {address: address for address in analysis.contents}
+    own = {address: address for address in analysis.workbook.sheets[0].cells}
     assert len(graph.nodes) == 9_901
     assert all(node is own[node] for node in graph.nodes)
     assert all(target is own[target] for targets in graph.out_edges.values() for target in targets)

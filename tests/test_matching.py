@@ -11,6 +11,7 @@ from sheetcheck import (
     CellError,
     ComparePhase,
     ErrorKind,
+    Formula,
     Number,
     analyze,
     evaluate,
@@ -40,9 +41,8 @@ def test_self_match_is_clean(grades):
 def test_single_mutation_d4(grades):
     mutated = {"D4": "=(B4-C4)/2"}
     cells = {}
-    for cell in grades.solution.sheets[0].sorted_cells():
-        source = cell.content.source if cell.is_formula else None
-        cells[cell.address.text()] = source if source else _raw(cell.content)
+    for address, content in sorted(grades.solution.sheets[0].cells.items()):
+        cells[address.text()] = content.source if isinstance(content, Formula) else _raw(content)
     cells.update(mutated)
     submission = make_workbook(cells)
     result = match_values(analyze(grades.solution), analyze(submission))
@@ -165,10 +165,8 @@ def test_graded_subset_restricts_reports():
 
 def test_determinism_under_insertion_order(grades):
     cells = {}
-    for cell in grades.submission.sheets[0].sorted_cells():
-        cells[cell.address.text()] = (
-            cell.content.source if cell.is_formula else _raw(cell.content)
-        )
+    for address, content in sorted(grades.submission.sheets[0].cells.items()):
+        cells[address.text()] = content.source if isinstance(content, Formula) else _raw(content)
     shuffled = make_workbook(dict(reversed(list(cells.items()))))
     a = match_values(analyze(grades.solution), analyze(grades.submission))
     b = match_values(analyze(grades.solution), analyze(shuffled))
@@ -232,8 +230,8 @@ def test_formula_error_soundness(grades):
     solution_grid = evaluate(grades.solution)
     result = match_values(analyze(grades.solution), analyze(grades.submission))
     for address in result.formula_errors:
-        cell = grades.submission.cell(address)
-        value = evaluate_ast(parse_formula(cell.content.source, address.sheet), solution_grid)
+        source = grades.submission.content(address).source
+        value = evaluate_ast(parse_formula(source, address.sheet), solution_grid)
         assert not values_equal(value, solution_grid[address])
 
 
@@ -384,6 +382,11 @@ def matching_cases(draw):
         elif len(submission) > 1:
             submission.pop()
 
+    for sheet in submission:  # the file's key order must not change the diagnosis
+        items = list(sheet["cells"].items())
+        rng.shuffle(items)
+        sheet["cells"] = dict(items)
+
     graded = None
     if draw(st.booleans()):
         graded = {addr(name) for name in rng.sample(names, rng.randint(1, len(names)))}
@@ -398,6 +401,14 @@ def test_match_values_equals_fresh_memo_oracle(case):
     assert analysis.grid == matching_oracle.evaluate(submission)
     expected = matching_oracle.match_values(reference, submission, graded=graded)
     assert match_values(analyze(reference), analysis, graded=graded) == expected
+
+
+def test_oracle_evaluation_starts_where_the_engine_does():
+    # Started at B1 in file order, the cycle would give A1 CYCLE; started
+    # at A1, B1's 1/0 comes first and both cells read DIV/0.
+    workbook = make_workbook({"B1": "=1/0+A1", "A1": "=B1"})
+    assert matching_oracle.evaluate(workbook) == analyze(workbook).grid
+    assert set(analyze(workbook).grid.values()) == {CellError(ErrorKind.DIV_ZERO)}
 
 
 def test_cycle_cells_are_re_evaluated_from_a_fresh_memo():

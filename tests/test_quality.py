@@ -2,10 +2,13 @@ import pytest
 
 from sheetcheck import (
     DuplicateCalculation,
+    Formula,
     IdiomSuggestion,
     MetricExceeded,
+    Number,
     QualityConfig,
     QualityMetrics,
+    Text,
     analyze,
     build_graph,
     compare_metrics,
@@ -100,14 +103,11 @@ def test_metrics_of_long_hand_written_sum():
 
 def test_metrics_insertion_order_independent(grades):
     cells = {}
-    for cell in grades.submission.sheets[0].sorted_cells():
-        if cell.is_formula:
-            cells[cell.address.text()] = cell.content.source
+    for address, content in sorted(grades.submission.sheets[0].cells.items()):
+        if isinstance(content, Formula):
+            cells[address.text()] = content.source
         else:
-            from sheetcheck import Number, Text
-
-            value = cell.content
-            cells[cell.address.text()] = value.value if isinstance(value, (Number, Text)) else value
+            cells[address.text()] = content.value if isinstance(content, (Number, Text)) else content
     shuffled = make_workbook(dict(reversed(list(cells.items()))))
     assert metrics_of(shuffled) == metrics_of(grades.submission)
 
