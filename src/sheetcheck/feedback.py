@@ -36,6 +36,7 @@ from .grid import (
     Text,
     Value,
     Workbook,
+    format_number,
     parse_address,
     read_workbook,
     row_major,
@@ -434,10 +435,6 @@ def _cells_text(addresses: Sequence[CellAddress], qualify: bool) -> str:
     return ", ".join(a.text(qualified=qualify) for a in addresses)
 
 
-def _number_text(value: float) -> str:
-    return str(int(value)) if float(value) == int(value) else str(value)
-
-
 def _article(word: str) -> str:
     return "an" if word[:1].upper() in "AEIOU" else "a"
 
@@ -487,8 +484,8 @@ def quality_messages(findings: Sequence[QualityFinding], qualify: bool) -> list[
         else:
             label = _METRIC_LABELS.get(finding.metric, finding.metric)
             messages.append(
-                f"The {label} of your solution ({_number_text(finding.submission)}) "
-                f"exceeds the reference solution ({_number_text(finding.reference)})."
+                f"The {label} of your solution ({format_number(finding.submission)}) "
+                f"exceeds the reference solution ({format_number(finding.reference)})."
             )
     return messages
 

@@ -267,7 +267,33 @@ def _tokenize(source: str, offset: int) -> list[_Token]:
 # Parser
 # --------------------------------------------------------------------------
 
-_COMPARISONS = {"=": BinOp.EQ, "<>": BinOp.NE, "<": BinOp.LT, "<=": BinOp.LE, ">": BinOp.GT, ">=": BinOp.GE}
+# Operator precedence, the one table the parser and the renderer read.
+_PREC_COMPARE = 1
+_PREC_CONCAT = 2
+_PREC_ADD = 3
+_PREC_MUL = 4
+_PREC_UNARY = 5
+_PREC_POW = 6
+_PREC_ATOM = 7
+
+_BIN_PREC = {
+    BinOp.EQ: _PREC_COMPARE,
+    BinOp.NE: _PREC_COMPARE,
+    BinOp.LT: _PREC_COMPARE,
+    BinOp.LE: _PREC_COMPARE,
+    BinOp.GT: _PREC_COMPARE,
+    BinOp.GE: _PREC_COMPARE,
+    BinOp.CONCAT: _PREC_CONCAT,
+    BinOp.ADD: _PREC_ADD,
+    BinOp.SUB: _PREC_ADD,
+    BinOp.MUL: _PREC_MUL,
+    BinOp.DIV: _PREC_MUL,
+    BinOp.POW: _PREC_POW,
+}
+
+# The operators `expression` climbs over, by token text.  "^" is left to
+# `power`: it binds tighter than a sign and is right-associative.
+_CLIMBED = {op.symbol: (op, prec) for op, prec in _BIN_PREC.items() if op is not BinOp.POW}
 
 
 class _Parser:
@@ -301,34 +327,21 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise FormulaSyntaxError("formula is nested too deeply", token.pos)
 
-    # expression := comparison
-    def expression(self) -> FormulaAst:
-        node = self.concat()
-        while self.at_op(*_COMPARISONS):
-            op = _COMPARISONS[self.take().text]
-            node = Binary(op, node, self.concat())
-        return node
+    def expression(self, floor: int = _PREC_COMPARE) -> FormulaAst:
+        """An expression whose binary operators bind at least as tightly as `floor`.
 
-    def concat(self) -> FormulaAst:
-        node = self.additive()
-        while self.at_op("&"):
-            self.take()
-            node = Binary(BinOp.CONCAT, node, self.additive())
-        return node
-
-    def additive(self) -> FormulaAst:
-        node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = BinOp.ADD if self.take().text == "+" else BinOp.SUB
-            node = Binary(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> FormulaAst:
+        Operators of one level loop, so they associate to the left; only a
+        tighter operator's right operand descends a level.
+        """
         node = self.unary()
-        while self.at_op("*", "/"):
-            op = BinOp.MUL if self.take().text == "*" else BinOp.DIV
-            node = Binary(op, node, self.unary())
-        return node
+        while True:
+            token = self.tokens[self.index]
+            climbed = _CLIMBED.get(token.text) if token.kind == "OP" else None
+            if climbed is None or climbed[1] < floor:
+                return node
+            self.index += 1
+            op, prec = climbed
+            node = Binary(op, node, self.expression(prec + 1))
 
     def unary(self) -> FormulaAst:
         if self.at_op("-", "+"):
@@ -832,15 +845,17 @@ def canonicalize(ast: FormulaAst) -> FormulaAst:
     arguments and AVG that chain divided by the static operand count, a
     range counting by its area.  A chain's cell references, from ranges
     and single cells alike, coalesce into rectangles; its other operands
-    are sorted.  Double negation is dropped and no constant folding
-    happens.  The rewrite is one bottom-up pass whose result is its own
-    canonical form, and it expands no range: a chain over a 10,000-cell
-    range is one node holding one rectangle.
+    are sorted.  Double negation is dropped, except over a range, where it
+    makes the formula #VALUE!, and no constant folding happens.  The
+    rewrite is one bottom-up pass whose result is its own canonical form,
+    and it expands no range: a chain over a 10,000-cell range is one node
+    holding one rectangle.
     """
     if isinstance(ast, Unary):
         operand = canonicalize(ast.operand)
         if ast.op is UnaryOp.NEG and isinstance(operand, Unary) and operand.op is UnaryOp.NEG:
-            return operand.operand
+            if not isinstance(operand.operand, RangeRef):  # a signed range is #VALUE!, not its cells
+                return operand.operand
         return Unary(ast.op, operand)
     if isinstance(ast, Binary):
         if ast.op in _CHAIN_OPS:
@@ -877,29 +892,6 @@ def canonicalize(ast: FormulaAst) -> FormulaAst:
 # --------------------------------------------------------------------------
 # Rendering
 # --------------------------------------------------------------------------
-
-_PREC_COMPARE = 1
-_PREC_CONCAT = 2
-_PREC_ADD = 3
-_PREC_MUL = 4
-_PREC_UNARY = 5
-_PREC_POW = 6
-_PREC_ATOM = 7
-
-_BIN_PREC = {
-    BinOp.EQ: _PREC_COMPARE,
-    BinOp.NE: _PREC_COMPARE,
-    BinOp.LT: _PREC_COMPARE,
-    BinOp.LE: _PREC_COMPARE,
-    BinOp.GT: _PREC_COMPARE,
-    BinOp.GE: _PREC_COMPARE,
-    BinOp.CONCAT: _PREC_CONCAT,
-    BinOp.ADD: _PREC_ADD,
-    BinOp.SUB: _PREC_ADD,
-    BinOp.MUL: _PREC_MUL,
-    BinOp.DIV: _PREC_MUL,
-    BinOp.POW: _PREC_POW,
-}
 
 
 def _prec(node: FormulaAst) -> int:

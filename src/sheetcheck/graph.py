@@ -22,15 +22,6 @@ if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
 
 
-class CycleError(ValueError):
-    """The graph contains a reference cycle; `cycle` lists one loop."""
-
-    def __init__(self, cycle: tuple[CellAddress, ...]):
-        path = " -> ".join(a.text(qualified=True) for a in cycle)
-        super().__init__(f"dependency cycle: {path}")
-        self.cycle = cycle
-
-
 @dataclass(frozen=True)
 class DependencyGraph:
     nodes: tuple[CellAddress, ...]
@@ -121,42 +112,10 @@ def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[Ce
     return graph._terminals
 
 
-def _find_cycle(graph: DependencyGraph) -> tuple[CellAddress, ...] | None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in graph.nodes}
-    parent: dict[CellAddress, CellAddress] = {}
-    for start in graph.nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[CellAddress, int]] = [(start, 0)]
-        color[start] = GREY
-        while stack:
-            node, index = stack[-1]
-            neighbors = graph.out_edges.get(node, ())
-            if index == len(neighbors):
-                stack.pop()
-                color[node] = BLACK
-                continue
-            stack[-1] = (node, index + 1)
-            child = neighbors[index]
-            if color[child] == GREY:
-                loop = [child, node]
-                walker = node
-                while walker != child:
-                    walker = parent[walker]
-                    loop.append(walker)
-                return tuple(reversed(loop))
-            if color[child] == WHITE:
-                color[child] = GREY
-                parent[child] = node
-                stack.append((child, 0))
-    return None
-
-
 def longest_chain(graph: DependencyGraph) -> int:
-    """Length in edges of the longest directed path; the graph must be acyclic."""
+    """Length in edges of the longest directed path, or 0 when the graph has a cycle."""
     if len(graph.acyclic_order) < len(graph.nodes):
-        raise CycleError(_find_cycle(graph))
+        return 0  # a cyclic graph has no meaningful chain length
     depth: dict[CellAddress, int] = {}
     out_edges = graph.out_edges
     for node in graph.acyclic_order:

@@ -24,14 +24,14 @@ keep explicit stacks, so chains of any length are matched.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
 from .graph import terminals
-from .grid import BLANK, Blank, CellAddress, Sheet, Value, Workbook, row_major
+from .grid import BLANK, CellAddress, Value, row_major
 
 # Not called here since matching takes analysed workbooks, which hold their
 # evaluated grid and graph; the benchmark's tracer (perfbench/tracing.py)
@@ -99,9 +99,11 @@ class MatchTrace(Sequence[TraceEntry]):
 
 @dataclass(frozen=True)
 class MatchResult:
+    """The diagnoses; `replacements` maps each corrected cell to the reference value it took."""
+
     value_errors: tuple[CellAddress, ...]
     formula_errors: tuple[CellAddress, ...]
-    corrected: Workbook
+    replacements: Mapping[CellAddress, Value]
     trace: Sequence[TraceEntry]
 
 
@@ -207,30 +209,7 @@ def match_values(
     return MatchResult(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
-        corrected=_apply_replacements(submission.workbook, replacements),
+        replacements=replacements,
         trace=MatchTrace(trace),
     )
 
-
-def _apply_replacements(submission: Workbook, replacements: dict[CellAddress, Value]) -> Workbook:
-    """Working copy as a workbook: replaced cells hold reference values as constants."""
-    sheets = []
-    known = set(submission.sheet_names())
-    for sheet in submission.sheets:
-        cells = dict(sheet.cells)
-        for address, value in replacements.items():
-            if address.sheet != sheet.name:
-                continue
-            if isinstance(value, Blank):
-                cells.pop(address, None)
-            else:
-                cells[address] = value
-        sheets.append(Sheet(sheet.name, cells))
-    extra: dict[str, dict[CellAddress, Value]] = {}
-    for address, value in replacements.items():
-        if address.sheet in known or isinstance(value, Blank):
-            continue
-        extra.setdefault(address.sheet, {})[address] = value
-    for name in sorted(extra):
-        sheets.append(Sheet(name, extra[name]))
-    return Workbook(submission.name, tuple(sheets))

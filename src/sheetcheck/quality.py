@@ -33,7 +33,7 @@ from .formulas import (
     range_size,
     walk_ast,
 )
-from .graph import CycleError, longest_chain, terminals
+from .graph import longest_chain, terminals
 from .grid import CellAddress, CellError, row_major
 
 if TYPE_CHECKING:
@@ -135,14 +135,9 @@ def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
     return operators, operands, deepest
 
 
-def _degrees(nodes: tuple[CellAddress, ...], edges: Mapping[CellAddress, tuple]) -> dict[CellAddress, int]:
-    """The number of edges of each node, in node order."""
-    return dict(zip(nodes, map(len, map(edges.get, nodes, repeat(())))))
-
-
-def _max_fan(degrees: dict[CellAddress, int]) -> tuple[CellAddress, int] | None:
-    """The highest degree with its first address in `degrees`, which is row-major."""
-    return max(degrees.items(), key=itemgetter(1), default=None)
+def _max_fan(nodes: tuple[CellAddress, ...], edges: Mapping[CellAddress, tuple]) -> tuple[CellAddress, int] | None:
+    """The most edges any node has, with the first such node in `nodes`, which is row-major."""
+    return max(zip(nodes, map(len, map(edges.get, nodes, repeat(())))), key=itemgetter(1), default=None)
 
 
 def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
@@ -150,13 +145,6 @@ def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
     counts = [_formula_counts(ast) for ast in analysis.formulas.values()]
     workbook, graph = analysis.workbook, analysis.graph
     outputs, inputs = terminals(graph)
-    try:
-        chain = longest_chain(graph)
-    except CycleError:
-        chain = 0  # a cyclic submission has no meaningful chain length
-
-    fan_in = _degrees(graph.nodes, graph.in_edges)
-    fan_out = _degrees(graph.nodes, graph.out_edges)
 
     return QualityMetrics(
         sheet_count=len(workbook.sheets),
@@ -165,12 +153,12 @@ def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
         formula_cell_count=len(analysis.formulas),
         input_count=len(inputs),
         output_count=len(outputs),
-        max_fan_in=_max_fan(fan_in),
-        max_fan_out=_max_fan(fan_out),
+        max_fan_in=_max_fan(graph.nodes, graph.in_edges),
+        max_fan_out=_max_fan(graph.nodes, graph.out_edges),
         operator_total=sum(operators for operators, _, _ in counts),
         operand_total=sum(operands for _, operands, _ in counts),
         max_nesting_depth=max((depth for _, _, depth in counts), default=0),
-        longest_chain=chain,
+        longest_chain=longest_chain(graph),
     )
 
 

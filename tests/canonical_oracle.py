@@ -94,7 +94,8 @@ def oracle_canonicalize(ast):
     if isinstance(ast, Unary):
         operand = oracle_canonicalize(ast.operand)
         if ast.op is UnaryOp.NEG and isinstance(operand, Unary) and operand.op is UnaryOp.NEG:
-            return operand.operand
+            if not isinstance(operand.operand, RangeRef):
+                return operand.operand
         return Unary(ast.op, operand)
     if isinstance(ast, Binary):
         if ast.op in _CHAIN_OPS:

@@ -12,6 +12,9 @@ from __future__ import annotations
 from sheetcheck import (
     BLANK,
     DEFAULT_TOLERANCE,
+    Blank,
+    Sheet,
+    Workbook,
     WorkbookAnalysis,
     build_graph,
     row_major,
@@ -20,7 +23,7 @@ from sheetcheck import (
 )
 from sheetcheck.evaluate import BAD_REF, CYCLE, _eval, checked_formulas, workbook_contents
 from sheetcheck.grid import VALUE_TYPES
-from sheetcheck.matching import ComparePhase, MatchResult, TraceEntry, _apply_replacements
+from sheetcheck.matching import ComparePhase, MatchResult, TraceEntry
 
 
 def cell_value(contents, sheets, address, memo, visiting=None):
@@ -100,6 +103,34 @@ def match_values(reference, submission, tolerance=DEFAULT_TOLERANCE, graded=None
     return MatchResult(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
-        corrected=_apply_replacements(submission, replacements),
+        replacements=replacements,
         trace=tuple(trace),
     )
+
+
+def apply_replacements(submission, replacements):
+    """The corrected submission as a workbook: replaced cells hold reference values as constants.
+
+    A blank replacement empties its cell, and replacements on sheets the
+    submission lacks form new sheets after its own, by name.
+    """
+    sheets = []
+    known = set(submission.sheet_names())
+    for sheet in submission.sheets:
+        cells = dict(sheet.cells)
+        for address, value in replacements.items():
+            if address.sheet != sheet.name:
+                continue
+            if isinstance(value, Blank):
+                cells.pop(address, None)
+            else:
+                cells[address] = value
+        sheets.append(Sheet(sheet.name, cells))
+    extra = {}
+    for address, value in replacements.items():
+        if address.sheet in known or isinstance(value, Blank):
+            continue
+        extra.setdefault(address.sheet, {})[address] = value
+    for name in sorted(extra):
+        sheets.append(Sheet(name, extra[name]))
+    return Workbook(submission.name, tuple(sheets))

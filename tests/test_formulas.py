@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -465,3 +467,96 @@ def test_render_long_left_deep_chain(op):
     ast = parse_formula("=" + op.join(terms))
     assert node_key(parse_formula("=" + render_formula(ast))) == node_key(ast)
 
+
+
+# ---------------------------------------------------------------- pinned parser corpus
+
+_CORPUS_FUNCTIONS = ["SUM", "sum", "AVG", "Average", "COUNT", "MIN", "MAX", "IF", "ROUND", "ABS", "FOO"]
+_CORPUS_OPERATORS = ["+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">="]
+_CORPUS_NOISE = list("()+-*/^&=<>,;:!$\"'. 1A#")
+
+
+def _corpus_reference(rng):
+    def cell():
+        return f"{rng.choice(['', '$'])}{rng.choice(['A', 'b', 'C', 'AA', 'xfd'])}{rng.choice(['', '$'])}{rng.randint(1, 30)}"
+
+    text = cell()
+    if rng.random() < 0.3:
+        text += ":" + (rng.choice(["", "Data!", "Other!"]) if rng.random() < 0.2 else "") + cell()
+    if rng.random() < 0.2:
+        text = rng.choice(["Data!", "Other!"]) + text
+    return text
+
+
+def _corpus_formula(rng, depth=0):
+    """Formula text built from the grammar, with random spacing."""
+    roll = rng.random() if depth < 5 else rng.random() * 0.5
+    if roll < 0.15:
+        return rng.choice(["1", "2.5", ".5", "3.", "1e3", "2E-2", "0", "007"])
+    if roll < 0.2:
+        return rng.choice(['"x"', '""', '"a""b"', "TRUE", "false"])
+    if roll < 0.5:
+        return _corpus_reference(rng)
+    if roll < 0.6:
+        return rng.choice(["-", "+", "--"]) + _corpus_formula(rng, depth + 1)
+    if roll < 0.7:
+        return "(" + _corpus_formula(rng, depth + 1) + ")"
+    if roll < 0.8:
+        args = [_corpus_formula(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+        return rng.choice(_CORPUS_FUNCTIONS) + "(" + rng.choice([",", ";", ", "]).join(args) + ")"
+    terms = [_corpus_formula(rng, depth + 1) for _ in range(rng.randint(2, 4))]
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice(["", " "]) + rng.choice(_CORPUS_OPERATORS) + rng.choice(["", " "]) + term
+    return text
+
+
+def _corrupted(rng, text):
+    at = rng.randrange(len(text) + 1)
+    how = rng.randrange(4)
+    if how == 0:
+        return text[:at] + text[at + 1 :]
+    if how == 1:
+        return text[:at] + rng.choice(_CORPUS_NOISE) + text[at:]
+    if how == 2:
+        return text[:at]
+    return text[:at] + text[at:][::-1]
+
+
+def _parser_corpus():
+    rng = random.Random(20231012)
+    sources = []
+    for _ in range(10_000):
+        text = "=" + _corpus_formula(rng)
+        sources.append(_corrupted(rng, text) if rng.random() < 0.2 else text)
+    for n in range(10, 201, 10):
+        sources += [
+            "=" + "(" * n + "A1" + ")" * n,
+            "=" + "-+" * (n // 2) + "A1",
+            "=" + "^".join(["2"] * n),
+            "=" + "(-" * n + "A1" + ")" * n,
+            "=" + "ABS(" * n + "1" + ")" * n,
+            "=" + "2^-(" * n + "3" + ")" * n,
+            "=" + "(1+" * n + "1" + ")" * n,
+        ]
+    return sources
+
+
+def _parse_outcome(source):
+    try:
+        return repr(parse_formula(source))
+    except (FormulaSyntaxError, UnknownFunctionError) as exc:  # class, message and position are pinned
+        return f"{type(exc).__name__}|{exc}|{getattr(exc, 'position', None)}"
+
+
+def test_parser_corpus_is_pinned():
+    # ASTs, error messages and error positions of a seeded corpus: any
+    # change to what the parser accepts, builds or reports moves the digest
+    digest = hashlib.sha256()
+    for source in _parser_corpus():
+        digest.update(f"{source}\n{_parse_outcome(source)}\n".encode())
+    # operator chains this long compare by node_key: repr recurses once per level
+    for op in [op for op in _CORPUS_OPERATORS if op != "^"]:
+        source = "=" + op.join(f"A{i}" if i % 3 else f"-B{i}" for i in range(1, 5001))
+        digest.update(repr(node_key(parse_formula(source))).encode())
+    assert digest.hexdigest() == "3fc20cfdea87cf5804518d48c85f71368180fc5a12b1e272900c40a96239e9bc"

@@ -1,7 +1,6 @@
 import pytest
 
 from sheetcheck import (
-    CycleError,
     analyze,
     build_graph,
     export_dot,
@@ -100,10 +99,8 @@ def test_longest_chain_linear():
 
 
 def test_longest_chain_cycle_error():
-    graph = graph_of({"A1": "=B1", "B1": "=A1"})
-    with pytest.raises(CycleError) as error:
-        longest_chain(graph)
-    assert len(error.value.cycle) >= 2
+    # a cyclic graph has no meaningful chain length
+    assert longest_chain(graph_of({"A1": "=B1", "B1": "=A1", "C1": "=A1+1"})) == 0
 
 
 def test_dot_solution_labels_and_colors(solution_analysis):
@@ -135,16 +132,15 @@ def test_dot_edge_count_matches(solution_analysis, solution_graph):
 
 def test_cycle_in_graph_iff_cycle_value():
     from sheetcheck import CellError, ErrorKind, evaluate
-    from sheetcheck.graph import _find_cycle
 
     cyclic = make_workbook({"A1": "=B1", "B1": "=A1", "C1": 5})
     graph = build_graph(analyze(cyclic))
-    assert _find_cycle(graph) is not None
+    assert len(graph.acyclic_order) < len(graph.nodes)
     assert any(v == CellError(ErrorKind.CYCLE) for v in evaluate(cyclic).values())
 
     acyclic = make_workbook({"A1": 1, "B1": "=A1"})
     graph = build_graph(analyze(acyclic))
-    assert _find_cycle(graph) is None
+    assert len(graph.acyclic_order) == len(graph.nodes)
     assert not any(v == CellError(ErrorKind.CYCLE) for v in evaluate(acyclic).values())
 
 
@@ -161,8 +157,7 @@ def test_longest_chain_of_a_long_fill_down_chain(up):
     n = 10_000
     assert longest_chain(graph_of(fill_down_cells(n, up))) == n - 1
     closed = fill_down_cells(n, up, first=f"=A1+A{n}")
-    with pytest.raises(CycleError):
-        longest_chain(graph_of(closed))
+    assert longest_chain(graph_of(closed)) == 0
 
 
 def test_graph_nodes_are_the_workbooks_own_addresses():

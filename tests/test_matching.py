@@ -88,12 +88,13 @@ def test_each_node_first_compared_once(grades):
 
 def test_corrected_copy_holds_solution_values(grades):
     result = match_values(analyze(grades.solution), analyze(grades.submission))
-    corrected_grid = evaluate(result.corrected)
+    corrected = matching_oracle.apply_replacements(grades.submission, result.replacements)
+    corrected_grid = evaluate(corrected)
     solution_grid = evaluate(grades.solution)
     for address in ("D3", "C6", "D6"):
         assert values_equal(corrected_grid[addr(address)], solution_grid[addr(address)])
     # untouched cells keep the submission content
-    assert result.corrected.content(addr("D4")) == grades.submission.content(addr("D4"))
+    assert corrected.content(addr("D4")) == grades.submission.content(addr("D4"))
 
 
 def test_missing_cell_is_value_and_formula_error():
@@ -285,7 +286,7 @@ def test_randomized_corrected_copy_matches_solution():
         submission, _, _ = mutation
         result = match_values(analyze(solution), analyze(submission))
         solution_grid = evaluate(solution)
-        corrected_grid = evaluate(result.corrected)
+        corrected_grid = evaluate(matching_oracle.apply_replacements(submission, result.replacements))
         for node in build_graph(analyze(solution)).nodes:
             assert values_equal(
                 corrected_grid.get(node, BLANK), solution_grid.get(node, BLANK)

@@ -261,7 +261,7 @@ def _variant(ast, data):
 
     Chains are reordered and regrouped, SUM and AVG range arguments split
     or written out, SUM calls written as "+" chains and double negations
-    added.
+    added, except around a bare range, where they change the value.
     """
     if isinstance(ast, Binary) and ast.op in (BinOp.ADD, BinOp.MUL):
         operands = [_variant(operand, data) for operand in _flatten(ast, ast.op)]
@@ -285,7 +285,7 @@ def _variant(ast, data):
         node = FuncCall(ast.name, tuple(_variant(arg, data) for arg in ast.args))
     else:
         node = ast
-    if data.draw(st.integers(0, 9)) == 0:
+    if data.draw(st.integers(0, 9)) == 0 and not isinstance(node, RangeRef):
         node = Unary(UnaryOp.NEG, Unary(UnaryOp.NEG, node))
     return node
 
@@ -372,3 +372,55 @@ flat_chains = st.one_of(
 def test_flat_chain_evaluates_as_the_oracle_form(ast, grid):
     # blanks and text under "+", not SUM's rules, and the first error wins
     assert evaluate_ast(canonicalize(ast), grid) == evaluate_ast(oracle_canonicalize(ast), grid)
+
+
+# ---------------------------------------------------------------- canonical forms keep values
+
+# A numeric sub-language over grids filled with small integers.  Text,
+# booleans, blanks, "=" and "&" are left out: SUM skips text and counts
+# TRUE as 1 where a "+" chain does not, a one-operand SUM collapses to
+# that operand, and a reordered chain may report another of two errors
+# first or round differently, which "=" and "&" would turn into other
+# values.  Ranges take zero to two signs, which make them #VALUE!.
+
+
+@st.composite
+def signed_range_refs(draw):
+    node = draw(small_range_refs())
+    for op in draw(st.lists(st.sampled_from(list(UnaryOp)), max_size=2)):
+        node = Unary(op, node)
+    return node
+
+
+numeric_leaves = st.one_of(
+    small_cell_refs,
+    st.integers(0, 3).map(lambda v: NumberLit(float(v))),
+    signed_range_refs(),
+)
+
+
+def _numeric_expressions(children):
+    binary = st.builds(
+        Binary, op=st.sampled_from([BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV]), left=children, right=children
+    )
+    unary = st.builds(Unary, op=st.sampled_from(list(UnaryOp)), operand=children)
+    aggregate = st.builds(
+        lambda name, args: FuncCall(name, tuple(args)),
+        st.sampled_from(["SUM", "AVG", "MAX"]),
+        st.lists(st.one_of(signed_range_refs(), children), min_size=1, max_size=3),
+    )
+    return st.one_of(binary, unary, aggregate)
+
+
+numeric_formulas = st.recursive(numeric_leaves, _numeric_expressions, max_leaves=8)
+small_integers = st.integers(-3, 3).map(lambda v: Number(float(v)))
+numeric_grids = st.fixed_dictionaries(
+    {CellAddress("Sheet1", col, row): small_integers for col in (1, 2) for row in (1, 2, 3)}
+)
+
+
+@settings(max_examples=200)
+@given(numeric_formulas, numeric_grids)
+def test_canonical_forms_keep_values(ast, grid):
+    parsed, canonical = evaluate_ast(ast, grid), evaluate_ast(canonicalize(ast), grid)
+    assert (isinstance(parsed, CellError) and isinstance(canonical, CellError)) or values_equal(parsed, canonical)
