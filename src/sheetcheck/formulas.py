@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .grid import (
     DEFAULT_SHEET,
@@ -186,17 +186,19 @@ def range_size(ref: RangeRef) -> int:
 def range_addresses(ref: RangeRef) -> list[CellAddress]:
     """Expand a range to its member addresses, row-major."""
     if range_size(ref) > DEFAULT_RANGE_LIMIT:
-        raise RangeCapacityError(
-            f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {DEFAULT_RANGE_LIMIT}"
-        )
+        raise RangeCapacityError(_over_limit(ref))
     return _cells(*_box(ref))
 
 
+def _over_limit(ref: RangeRef) -> str:
+    return f"range {render_reference(ref)} covers {range_size(ref)} cells, limit is {DEFAULT_RANGE_LIMIT}"
+
+
 # A rectangle of cells on one sheet: (sheet, top, left, bottom, right).
-_Box = tuple[str, int, int, int, int]
+Box = tuple[str, int, int, int, int]
 
 
-def _box(ref: CellRef | RangeRef) -> _Box:
+def _box(ref: CellRef | RangeRef) -> Box:
     start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
     sheet, top, left = start.address
     _, bottom, right = end.address
@@ -412,6 +414,7 @@ class _Parser:
         raise UnknownFunctionError(f"unknown name {token.text!r}", token.pos)
 
     def reference(self, sheet: str) -> FormulaAst:
+        position = self.tokens[self.index].pos
         first = self.cell_ref(sheet)
         if self.peek().kind != "COLON":
             return first
@@ -424,7 +427,7 @@ class _Parser:
         if self.peek().kind != "CELLREF":
             raise FormulaSyntaxError("expected a cell address after ':'", colon.pos)
         second = self.cell_ref(sheet)
-        return _normalized_range(first, second)
+        return _normalized_range(first, second, position)
 
     def cell_ref(self, sheet: str) -> CellRef:
         token = self.expect("CELLREF", "a cell address")
@@ -436,8 +439,12 @@ class _Parser:
         )
 
 
-def _normalized_range(a: CellRef, b: CellRef) -> RangeRef:
-    """Order corners so `start` is top-left; flags travel with the coordinate."""
+def _normalized_range(a: CellRef, b: CellRef, position: int) -> RangeRef:
+    """Order corners so `start` is top-left; flags travel with the coordinate.
+
+    A range over the range limit is a syntax error at `position`, so every
+    parsed range can be expanded.
+    """
     if a.address.col <= b.address.col:
         left_col, left_abs, right_col, right_abs = a.address.col, a.col_absolute, b.address.col, b.col_absolute
     else:
@@ -447,10 +454,13 @@ def _normalized_range(a: CellRef, b: CellRef) -> RangeRef:
     else:
         top_row, top_abs, bottom_row, bottom_abs = b.address.row, b.row_absolute, a.address.row, a.row_absolute
     sheet = a.address.sheet
-    return RangeRef(
+    ref = RangeRef(
         CellRef(CellAddress(sheet, left_col, top_row), left_abs, top_abs),
         CellRef(CellAddress(sheet, right_col, bottom_row), right_abs, bottom_abs),
     )
+    if range_size(ref) > DEFAULT_RANGE_LIMIT:
+        raise FormulaSyntaxError(_over_limit(ref), position)
+    return ref
 
 
 def parse_formula(text: str, sheet: str = DEFAULT_SHEET) -> FormulaAst:
@@ -581,6 +591,23 @@ def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
     return row_major(dict.fromkeys(found))
 
 
+def reference_boxes(ast: FormulaAst) -> tuple[Box, ...]:
+    """The distinct references of a formula as boxes, in the order the formula lists them.
+
+    A box is (sheet, top, left, bottom, right): a range is one box and a
+    cell reference a 1x1 box; absoluteness flags are dropped.  No range is
+    expanded.
+    """
+    boxes: dict[Box, None] = {}
+    for node in walk_ast(ast):
+        if isinstance(node, CellRef):
+            sheet, row, col = node.address
+            boxes[sheet, row, col, row, col] = None
+        elif isinstance(node, RangeRef):
+            boxes[_box(node)] = None
+    return tuple(boxes)
+
+
 # --------------------------------------------------------------------------
 # Rectangle arithmetic
 # --------------------------------------------------------------------------
@@ -668,18 +695,34 @@ def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, 
     return done
 
 
+def union_area(boxes: Sequence[Box]) -> int:
+    """How many distinct cells the boxes cover.
+
+    The cells of a sheet that no larger box shares are counted as a set,
+    so many cell references cost no sweep.
+    """
+    if len(boxes) == 1:
+        _, top, left, bottom, right = boxes[0]
+        return (bottom - top + 1) * (right - left + 1)
+    by_sheet: dict[str, list[tuple[int, int, int, int, int]]] = {}
+    swept: set[str] = set()  # sheets with a box larger than one cell
+    for sheet, top, left, bottom, right in boxes:
+        by_sheet.setdefault(sheet, []).append((top, left, bottom, right, 1))
+        if top != bottom or left != right:
+            swept.add(sheet)
+    total = 0
+    for sheet, sheet_boxes in by_sheet.items():
+        if sheet not in swept:
+            total += len(set(sheet_boxes))
+            continue
+        for top, bottom, pieces in _cover(sheet_boxes):
+            total += (bottom - top + 1) * sum(right - left + 1 for left, right, _ in pieces)
+    return total
+
+
 def distinct_cells(refs: Iterable[CellRef | RangeRef]) -> int:
     """How many distinct cells the references cover, flags aside."""
-    by_sheet: dict[str, list[tuple[int, int, int, int, int]]] = {}
-    for ref in refs:
-        sheet, *box = _box(ref)
-        by_sheet.setdefault(sheet, []).append((*box, 1))
-    return sum(
-        (bottom - top + 1) * (right - left + 1)
-        for boxes in by_sheet.values()
-        for top, bottom, pieces in _cover(boxes)
-        for left, right, _ in pieces
-    )
+    return union_area([_box(ref) for ref in refs])
 
 
 RefItem = tuple[CellAddress, bool, bool]

@@ -5,122 +5,321 @@ references; referenced cells join the node set even when blank.  Constants
 that nothing references stay out of the graph.  Sources (nothing refers to
 them) are the output nodes, sinks (they refer to nothing) are the input
 nodes.
+
+The graph is stored over formula cells and reference rectangles: each
+formula cell keeps its distinct references as boxes, a range as one box,
+and the formula cells that lie inside them.  Cycles, the longest chain,
+the terminal and fan counts and the dependents of a cell are computed
+from those without expanding a range of more than 16 cells, so their cost
+grows with the number of formulas and references, not with range area.
+Only the `nodes`, `out_edges` and `edges()` views expand every range,
+when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse
+from itertools import chain, filterfalse, groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
-from .formulas import references_of
-from .grid import BLANK, CellAddress, Number, format_value, row_major
+from .formulas import Box, FormulaAst, reference_boxes, references_of, union_area
+from .grid import BLANK, CellAddress, Number, Workbook, format_value, row_major
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
 
+# The range boxes of one sheet cut into bands of rows and each band into
+# pieces of columns: (top, bottom, [(left, right, owners), ...]), where
+# `owners` are the distinct formula cells whose boxes cover the piece.
+_Bands = list[tuple[int, int, list[tuple[int, int, tuple[CellAddress, ...]]]]]
 
-@dataclass(frozen=True)
+# A box this small is indexed cell by cell: a few dict entries cost less
+# than a band sweep, and a box still costs O(1).
+_LISTED_AREA = 16
+
+
+@dataclass(frozen=True, eq=False)
 class DependencyGraph:
-    nodes: tuple[CellAddress, ...]
-    out_edges: Mapping[CellAddress, tuple[CellAddress, ...]]
-    in_edges: Mapping[CellAddress, tuple[CellAddress, ...]]
+    """The dependency graph of an analysed workbook, over formula cells and boxes.
 
-    def edges(self) -> Iterator[tuple[CellAddress, CellAddress]]:
-        for source in self.nodes:
-            for target in self.out_edges.get(source, ()):
-                yield (source, target)
+    `formula_cells` lists the formula cells row-major, and the maps below
+    list them in that order.  `references` maps each to its distinct
+    references as boxes (sheet, top, left, bottom, right), a cell
+    reference as a 1x1 box, and `fan_out` to its out-degree, the number of
+    distinct cells in those boxes.  `precedents` maps each to the formula
+    cells inside those boxes, once each: the edges between formula cells,
+    a formula inside its own range included.
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(self.out_edges.get(node, ())) for node in self.nodes)
+    Who references a cell is indexed in two parts.  `listed` maps each cell
+    of a box of at most `_LISTED_AREA` cells, as a plain (sheet, row, col)
+    tuple, to the formula cells whose boxes hold it, row-major.  `ranges`
+    maps each sheet to its larger boxes as (top, left, bottom, right,
+    formula cell).  `workbook` and `formulas`, its parsed formula cells,
+    back the expanded views.
+    """
+
+    workbook: Workbook = field(repr=False)
+    formulas: Mapping[CellAddress, FormulaAst] = field(repr=False)
+    formula_cells: tuple[CellAddress, ...]
+    references: Mapping[CellAddress, tuple[Box, ...]]
+    fan_out: Mapping[CellAddress, int]
+    precedents: Mapping[CellAddress, tuple[CellAddress, ...]]
+    listed: Mapping[tuple, list[CellAddress]]
+    ranges: Mapping[str, list[tuple[int, int, int, int, CellAddress]]]
+
+    @cached_property
+    def _users(self) -> dict[CellAddress, list[CellAddress]]:
+        """Each referenced formula cell mapped to the formula cells that reference it, row-major."""
+        users: dict[CellAddress, list[CellAddress]] = {}
+        for cell, targets in self.precedents.items():
+            for target in targets:
+                users.setdefault(target, []).append(cell)
+        return users
+
+    @cached_property
+    def outputs(self) -> tuple[CellAddress, ...]:
+        """The output nodes: formula cells that no formula references, row-major."""
+        return tuple(filterfalse(self._users.__contains__, self.formula_cells))
 
     @cached_property
     def acyclic_order(self) -> tuple[CellAddress, ...]:
-        """Every node that reaches no cycle, each after all the nodes it references.
+        """Every formula cell that reaches no cycle, each after the formula cells it references.
 
-        Nodes left out lie on a cycle or reference one, directly or through
-        other cells.  Sinks come first; the order is deterministic.
+        Formula cells left out lie on a cycle or reference one, directly or
+        through other cells, so the graph is cyclic exactly when this order
+        is shorter than `formula_cells`.  The order is deterministic.
         """
-        unresolved = dict(zip(self.out_edges, map(len, self.out_edges.values())))
-        order = list(self._terminals[1])  # the sinks
-        for node in order:  # the list grows while it is walked
-            for source in self.in_edges.get(node, ()):
-                unresolved[source] -= 1
-                if not unresolved[source]:
-                    order.append(source)
+        precedents, users = self.precedents, self._users
+        unresolved = dict(zip(precedents, map(len, precedents.values())))
+        order = [cell for cell in self.formula_cells if not precedents[cell]]
+        for cell in order:  # the list grows while it is walked
+            for user in users.get(cell, ()):
+                unresolved[user] -= 1
+                if not unresolved[user]:
+                    order.append(user)
         return tuple(order)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(self.fan_out.values())
+
+    @property
+    def max_fan_out(self) -> tuple[CellAddress, int] | None:
+        """The largest out-degree, with the first formula cell row-major that has it."""
+        return max(self.fan_out.items(), key=itemgetter(1), default=None)
+
+    @cached_property
+    def _bands(self) -> dict[str, _Bands]:
+        """The bands of each sheet's larger boxes, built on first use."""
+        return {sheet: _cut_bands(boxes) for sheet, boxes in self.ranges.items()}
+
+    def dependents(self, address: CellAddress) -> tuple[CellAddress, ...]:
+        """The formula cells that reference `address`, row-major: its in-edges.
+
+        The first call on a graph with larger boxes cuts them into bands;
+        after that a lookup costs about the size of its answer.
+        """
+        direct = self.listed.get(address, ())
+        sheet, row, col = address
+        bands = self._bands.get(sheet) if self.ranges else None
+        ranged = _owners_at(bands, row, col) if bands else ()
+        return row_major({*direct, *ranged}) if ranged else tuple(direct)
+
+    @cached_property
+    def _fan_in(self) -> tuple[int, tuple[CellAddress, int] | None]:
+        """(distinct referenced cells, the largest in-degree with the first cell row-major that has it)."""
+        cells, ranges = self.listed, self._bands
+        distinct = len(cells)
+        degrees = dict(zip(cells, map(len, cells.values())))
+        if ranges:
+            for target, users in cells.items():
+                bands = ranges.get(target[0])
+                owners = _owners_at(bands, target[1], target[2]) if bands else ()
+                if owners:
+                    degrees[target] = len({*users, *owners})
+                    distinct -= 1  # counted with the range pieces below
+        # Every cell of a piece has at least the piece's degree, so its
+        # first cell stands for the piece.
+        for sheet, bands in ranges.items():
+            for top, bottom, pieces in bands:
+                for left, right, owners in pieces:
+                    distinct += (bottom - top + 1) * (right - left + 1)
+                    first = (sheet, top, left)
+                    degrees[first] = max(degrees.get(first, 0), len(owners))
+        if not degrees:
+            return distinct, ((self.formula_cells[0], 0) if self.formula_cells else None)
+        most = max(degrees.values())
+        sheet, row, col = min(target for target, degree in degrees.items() if degree == most)
+        return distinct, (CellAddress(sheet, col, row), most)
+
+    @property
+    def input_count(self) -> int:
+        """The input nodes: referenced cells that are not formula cells, and formula cells without references."""
+        unreferencing = list(self.fan_out.values()).count(0)
+        return self._fan_in[0] - len(self._users) + unreferencing
+
+    @property
+    def max_fan_in(self) -> tuple[CellAddress, int] | None:
+        """The largest in-degree, with the first node row-major that has it."""
+        return self._fan_in[1]
+
+    # Expanded views: they list range members one by one.
+
+    @cached_property
+    def out_edges(self) -> dict[CellAddress, tuple[CellAddress, ...]]:
+        """Each formula cell's referenced cells, row-major, as the workbook's own address objects."""
+        own: dict[CellAddress, CellAddress] = {}
+        for sheet in self.workbook.sheets:
+            own.update(zip(sheet.cells, sheet.cells))
+        edges = {}
+        for cell in self.formula_cells:
+            refs = references_of(self.formulas[cell])
+            edges[cell] = tuple(map(own.get, refs, refs))
+        return edges
+
+    @cached_property
+    def nodes(self) -> tuple[CellAddress, ...]:
+        """The formula cells and every cell they reference, row-major."""
+        return row_major({*self.formula_cells, *chain.from_iterable(self.out_edges.values())})
+
+    def edges(self) -> Iterator[tuple[CellAddress, CellAddress]]:
+        out_edges = self.out_edges
+        for source in self.formula_cells:
+            for target in out_edges[source]:
+                yield (source, target)
 
     @cached_property
     def _terminals(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
         """(outputs, inputs), computed once per graph; see `terminals`."""
-        return (
-            tuple(filterfalse(self.in_edges.get, self.nodes)),
-            tuple(filterfalse(self.out_edges.get, self.nodes)),
-        )
+        return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
+
+
+def _cut_bands(boxes: list[tuple[int, int, int, int, CellAddress]]) -> _Bands:
+    """The bands of one sheet's range boxes, each box given as (top, left, bottom, right, owner).
+
+    As in `formulas._cover`, the rows between consecutive box edges form a
+    band and the columns between consecutive edges of its boxes a piece.
+    A piece lists the distinct owners of the boxes that cover it; pieces
+    and bands that no box covers are left out.  No cell is visited.
+    """
+    if len(boxes) == 1:
+        top, left, bottom, right, owner = boxes[0]
+        return [(top, bottom, [(left, right, (owner,))])]
+    edges = sorted({box[0] for box in boxes} | {box[2] + 1 for box in boxes})
+    pending = sorted(boxes, key=itemgetter(0), reverse=True)  # popped from the end, by top row
+    active: list[tuple[int, int, int, int, CellAddress]] = []
+    bands: _Bands = []
+    for top, next_edge in zip(edges, edges[1:]):
+        while pending and pending[-1][0] == top:
+            active.append(pending.pop())
+        active = [box for box in active if box[2] >= top]
+        events = [(box[1], 1, box[4]) for box in active] + [(box[3] + 1, -1, box[4]) for box in active]
+        events.sort(key=itemgetter(0))
+        live: dict[CellAddress, int] = {}  # owner -> its boxes covering the current column
+        pieces = []
+        start = 0
+        for col, changes in groupby(events, itemgetter(0)):
+            if live:
+                pieces.append((start, col - 1, tuple(live)))
+            for _, change, owner in changes:
+                count = live.get(owner, 0) + change
+                if count:
+                    live[owner] = count
+                else:
+                    del live[owner]
+            start = col
+        if pieces:
+            bands.append((top, next_edge - 1, pieces))
+    return bands
+
+
+def _owners_at(bands: _Bands, row: int, col: int) -> tuple[CellAddress, ...]:
+    """The owners of the piece of `bands` that holds the cell at (row, col), or ()."""
+    index = bisect_right(bands, row, key=itemgetter(0)) - 1
+    if index >= 0 and row <= bands[index][1]:
+        pieces = bands[index][2]
+        index = bisect_right(pieces, col, key=itemgetter(0)) - 1
+        if index >= 0 and col <= pieces[index][1]:
+            return pieces[index][2]
+    return ()
 
 
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     """Build the dependency graph of an analysed workbook.
 
-    The edges come from the analysis's parsed formulas; references to
-    absent cells and to nonexistent sheets create nodes too.  A node that
-    is a workbook cell is the workbook's own address object, and equal
-    in-edge tuples are one shared tuple, so the cells of a large range
-    cost the graph two dict entries each.
+    The references come from the analysis's parsed formulas; references to
+    absent cells and to nonexistent sheets count too.  The formula cells
+    inside a range are found by looking up each of its cells or by
+    scanning the formula cells in its rows, whichever are fewer, and only
+    a range of at most `_LISTED_AREA` cells is listed cell by cell.
     """
     formulas = analysis.formulas
-    own: dict[CellAddress, CellAddress] = {}
-    for sheet in analysis.workbook.sheets:
-        cells = sheet.cells
-        own.update(zip(cells, cells))
-    out_edges: dict[CellAddress, tuple[CellAddress, ...]] = {}
-    in_edges: dict[CellAddress, tuple[CellAddress, ...] | list[CellAddress]] = {}
-    # Formula cells in row-major order, so every in-edge list comes out
-    # sorted.  A first source is stored as the formula's shared one-element
-    # tuple; a second turns the entry into a list.
-    for address in row_major(formulas):
-        refs = references_of(formulas[address])
-        refs = tuple(map(own.get, refs, refs))
-        out_edges[address] = refs
-        single = (address,)
-        for ref in refs:
-            sources = in_edges.get(ref)
-            if sources is None:
-                in_edges[ref] = single
-            elif type(sources) is tuple:
-                in_edges[ref] = [*sources, address]
+    cells = row_major(formulas)
+    own = dict(zip(cells, cells))
+    references: dict[CellAddress, tuple[Box, ...]] = {}
+    fan_out: dict[CellAddress, int] = {}
+    precedents: dict[CellAddress, tuple[CellAddress, ...]] = {}
+    listed: dict[tuple, list[CellAddress]] = {}
+    ranges: dict[str, list[tuple[int, int, int, int, CellAddress]]] = {}
+    for cell in cells:
+        boxes = references[cell] = reference_boxes(formulas[cell])
+        found: list[CellAddress] = []
+        targets: list[tuple] = []
+        ranged = False
+        for sheet, top, left, bottom, right in boxes:
+            if top == bottom and left == right:
+                target = (sheet, top, left)
+                targets.append(target)
+                if target in own:
+                    found.append(own[target])
+                continue
+            ranged = True
+            area = (bottom - top + 1) * (right - left + 1)
+            first = bisect_left(cells, (sheet, top, left))
+            last = bisect_right(cells, (sheet, bottom, right))
+            if last - first <= area:
+                found += [target for target in cells[first:last] if left <= target[2] <= right]
             else:
-                sources.append(address)
-    shared: dict[tuple[CellAddress, ...], tuple[CellAddress, ...]] = {}
-    for node, sources in in_edges.items():
-        if type(sources) is list:
-            sources = tuple(sources)
-            in_edges[node] = shared.setdefault(sources, sources)
-    # The keys come in row-major runs, which the sort merges in about linear time.
-    nodes = row_major({**out_edges, **in_edges})
-    return DependencyGraph(nodes, out_edges, in_edges)
+                members = ((sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1))
+                found += filter(None, map(own.get, members))
+            if area <= _LISTED_AREA:
+                targets += [(sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1)]
+            else:
+                ranges.setdefault(sheet, []).append((top, left, bottom, right, cell))
+        # The boxes are distinct, so only a listed range can repeat a cell.
+        for target in dict.fromkeys(targets) if len(targets) > len(boxes) else targets:
+            listed.setdefault(target, []).append(cell)
+        precedents[cell] = tuple(dict.fromkeys(found))
+        fan_out[cell] = union_area(boxes) if ranged else len(boxes)
+    return DependencyGraph(analysis.workbook, formulas, cells, references, fan_out, precedents, listed, ranges)
 
 
 def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
     """(outputs, inputs): nodes without incoming and without outgoing edges.
 
-    Computed once per graph, on the first call.
+    Computed once per graph, on the first call; the inputs expand ranges.
     """
     return graph._terminals
 
 
 def longest_chain(graph: DependencyGraph) -> int:
-    """Length in edges of the longest directed path, or 0 when the graph has a cycle."""
-    if len(graph.acyclic_order) < len(graph.nodes):
+    """Length in edges of the longest directed path, or 0 when the graph has a cycle.
+
+    A formula cell without references has depth 0 and any other one more
+    than the deepest formula cell it references, or 1 when it references
+    none: a cell that is not a formula has depth 0.
+    """
+    order, precedents = graph.acyclic_order, graph.precedents
+    if len(order) < len(graph.formula_cells):
         return 0  # a cyclic graph has no meaningful chain length
+    fan_out = graph.fan_out
     depth: dict[CellAddress, int] = {}
-    out_edges = graph.out_edges
-    for node in graph.acyclic_order:
-        edges = out_edges.get(node)
-        depth[node] = 1 + max(map(depth.__getitem__, edges)) if edges else 0
+    for cell in order:
+        depth[cell] = 1 + max(map(depth.__getitem__, precedents[cell]), default=0) if fan_out[cell] else 0
     return max(depth.values(), default=0)
 
 

@@ -12,13 +12,17 @@ errors it propagated do not count against the cells downstream.
 Re-evaluation reads one working memo of cell values, seeded from the
 submission's grid, so a cell that no correction reaches costs a lookup.
 A correction stores the reference value and drops the memo entries of
-the cells that depend on the corrected one, transitively, found through
-the submission graph's incoming edges; they are evaluated again when
-next read.  A correction that adds a sheet the submission lacks drops the
-whole memo, because references into that sheet turn from BAD_REF into
-cell values.  Cells that can reach a reference cycle of the submission
-are re-evaluated from a fresh memo instead: a cycle's values depend on
-the cell evaluation starts from.  The depth-first walk and evaluation
+the cells that depend on the corrected one, transitively; they are
+evaluated again when next read.  The dependents come from the submission
+graph's `dependents` index: a dict over the cells that formulas reference
+one by one or through a range of at most 16 cells and, per sheet, the
+larger ranges as rectangles cut into bands on first use.  A lookup costs
+about the size of its answer, and no larger range is expanded.  A
+correction that adds a sheet the submission lacks drops the whole memo,
+because references into that sheet turn from BAD_REF into cell values.
+Cells that can reach a reference cycle of the submission are re-evaluated
+from a fresh memo instead: a cycle's values depend on the cell evaluation
+starts from.  The depth-first walk and evaluation
 keep explicit stacks, so chains of any length are matched.
 """
 
@@ -30,14 +34,13 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
-from .graph import terminals
 from .grid import BLANK, CellAddress, Value, row_major
 
 # Not called here since matching takes analysed workbooks, which hold their
-# evaluated grid and graph; the benchmark's tracer (perfbench/tracing.py)
-# still wraps these two names in this module.
+# evaluated grid and graph, and the graph lists its outputs; the benchmark's
+# tracer (perfbench/tracing.py) still wraps these three names in this module.
 from .evaluate import evaluate  # noqa: F401
-from .graph import build_graph  # noqa: F401
+from .graph import build_graph, terminals  # noqa: F401
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
@@ -124,20 +127,17 @@ def match_values(
     unequal and is reported as a formula error.
     """
     reference_grid = reference.grid
-    reference_edges = reference.graph.out_edges
+    reference_edges = reference.graph.out_edges  # expanded once per bundle
     submission_grid = submission.grid
-    dependents = submission.graph.in_edges
-    nodes, acyclic = submission.graph.nodes, submission.graph.acyclic_order
-    cyclic = set(nodes).difference(acyclic) if len(acyclic) < len(nodes) else frozenset()
+    dependents = submission.graph.dependents
+    formula_cells, acyclic = submission.graph.formula_cells, submission.graph.acyclic_order
+    cyclic = set(formula_cells).difference(acyclic) if len(acyclic) < len(formula_cells) else frozenset()
 
     working = workbook_contents(submission.workbook, submission.formulas)
     working_sheets = set(submission.workbook.sheet_names())
     memo = dict(submission_grid)
 
-    if graded is not None:
-        roots = row_major(graded)
-    else:
-        roots = terminals(reference.graph)[0]
+    roots = row_major(graded) if graded is not None else reference.graph.outputs
 
     visited: set[CellAddress] = set()
     value_errors: list[CellAddress] = []
@@ -173,7 +173,7 @@ def match_values(
             # cell holds a constant that nothing upstream can change.
             stack = [address]
             while stack:
-                for dependent in dependents.get(stack.pop(), ()):
+                for dependent in dependents(stack.pop()):
                     if dependent in memo and dependent not in replacements:
                         del memo[dependent]
                         stack.append(dependent)

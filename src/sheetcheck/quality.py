@@ -11,8 +11,6 @@ per-metric overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .formulas import (
@@ -33,7 +31,11 @@ from .formulas import (
     range_size,
     walk_ast,
 )
-from .graph import longest_chain, terminals
+from .graph import longest_chain
+
+# Not called here since the graph counts its own terminals; the benchmark's
+# tracer (perfbench/tracing.py) still wraps this name in this module.
+from .graph import terminals  # noqa: F401
 from .grid import CellAddress, CellError, row_major
 
 if TYPE_CHECKING:
@@ -135,26 +137,20 @@ def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
     return operators, operands, deepest
 
 
-def _max_fan(nodes: tuple[CellAddress, ...], edges: Mapping[CellAddress, tuple]) -> tuple[CellAddress, int] | None:
-    """The most edges any node has, with the first such node in `nodes`, which is row-major."""
-    return max(zip(nodes, map(len, map(edges.get, nodes, repeat(())))), key=itemgetter(1), default=None)
-
-
 def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
     """Collect the metric set of an analysed workbook."""
     counts = [_formula_counts(ast) for ast in analysis.formulas.values()]
     workbook, graph = analysis.workbook, analysis.graph
-    outputs, inputs = terminals(graph)
 
     return QualityMetrics(
         sheet_count=len(workbook.sheets),
         error_value_count=sum(1 for value in analysis.grid.values() if isinstance(value, CellError)),
         value_cell_count=sum(len(sheet.cells) for sheet in workbook.sheets) - len(analysis.formulas),
         formula_cell_count=len(analysis.formulas),
-        input_count=len(inputs),
-        output_count=len(outputs),
-        max_fan_in=_max_fan(graph.nodes, graph.in_edges),
-        max_fan_out=_max_fan(graph.nodes, graph.out_edges),
+        input_count=graph.input_count,
+        output_count=len(graph.outputs),
+        max_fan_in=graph.max_fan_in,
+        max_fan_out=graph.max_fan_out,
         operator_total=sum(operators for operators, _, _ in counts),
         operand_total=sum(operands for _, operands, _ in counts),
         max_nesting_depth=max((depth for _, _, depth in counts), default=0),

@@ -3,11 +3,21 @@ import sys
 import time
 
 import pytest
+from hypothesis import settings
 
 from sheetcheck import CellAddress, Workbook, column_letters, parse_address, read_workbook
 from sheetcheck.fixtures import load_fixture
 
 SESSION_START = time.perf_counter()
+
+# `--hypothesis-profile=thorough` runs the oracle properties, which take
+# their example counts from `examples`, ten times as long.
+settings.register_profile("thorough", max_examples=10 * settings.default.max_examples)
+
+
+def examples(count: int) -> int:
+    """`count` Hypothesis examples under the default profile, scaled with the profile in use."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 def make_workbook(cells: dict[str, object], *, sheet: str = "Sheet1", name: str = "test") -> Workbook:

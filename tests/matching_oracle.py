@@ -1,8 +1,9 @@
 """Reference implementation of value matching, for comparison in tests.
 
 This is the straightforward form of the matcher: every re-evaluation
-starts from a fresh memo over the working copy, and both the reference
-walk and cell evaluation recurse.  It is quadratic on long chains and
+starts from a fresh memo over the working copy, both the reference walk
+and cell evaluation recurse, and the reference graph is the expanded one
+of `graph_oracle`.  It is quadratic on long chains and
 exhausts the recursion limit on deep ones, so tests run it on small
 workbooks only; `sheetcheck.match_values` must return an equal result.
 """
@@ -16,14 +17,14 @@ from sheetcheck import (
     Sheet,
     Workbook,
     WorkbookAnalysis,
-    build_graph,
     row_major,
-    terminals,
     values_equal,
 )
 from sheetcheck.evaluate import BAD_REF, CYCLE, _eval, checked_formulas, workbook_contents
 from sheetcheck.grid import VALUE_TYPES
 from sheetcheck.matching import ComparePhase, MatchResult, TraceEntry
+
+from graph_oracle import build_graph, terminals
 
 
 def cell_value(contents, sheets, address, memo, visiting=None):

@@ -68,6 +68,31 @@ def test_check_syntax_error_exit_two(workspace, capsys, tmp_path):
     assert "SYNTAX ERROR" in out
 
 
+_OVER_LIMIT = '{"name": "b", "sheets": [{"name": "Sheet1", "cells": {"B6": "=SUM(A1:A20000)"}}]}'
+
+
+def test_check_range_over_the_limit_is_a_syntax_error(workspace, capsys, tmp_path):
+    wide = tmp_path / "wide.json"
+    wide.write_text(_OVER_LIMIT)
+    code, out, err = run(capsys, "check", workspace / "task.json", wide, "--format", "json")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["status"] == "syntax_error"
+    assert doc["syntax"] == [
+        {"cell": "B6", "message": "range A1:A20000 covers 20000 cells, limit is 10000", "position": 5}
+    ]
+
+
+def test_batch_range_over_the_limit_is_a_syntax_error_row(workspace, capsys, tmp_path):
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    (subs / "wide.wb").write_text(_OVER_LIMIT)
+    (subs / "zsolution.wb").write_text((workspace / "solution.json").read_text())
+    code, out, _ = run(capsys, "batch", workspace / "task.json", subs)
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["wide.wb,syntax_error,0,0", "zsolution.wb,pass,0,0"]
+
+
 def test_check_json_output_parses(workspace, capsys):
     code, out, _ = run(
         capsys, "check", workspace / "task.json", workspace / "submission.json",

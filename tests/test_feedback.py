@@ -1,8 +1,10 @@
 import json
+import random
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcheck import (
     DiagnosisKind,
@@ -11,6 +13,7 @@ from sheetcheck import (
     Status,
     TaskBundle,
     TaskConfigError,
+    column_letters,
     dump_bundle,
     generate_feedback,
     header_context,
@@ -23,6 +26,7 @@ from sheetcheck import (
 )
 
 from conftest import addr, fill_down_cells, make_workbook, python_calls, range_sum_cells
+from genwb import WorkbookGen, mutate_one_formula
 
 
 # ---------------------------------------------------------------- golden levels
@@ -471,6 +475,11 @@ def test_bundle_rejects_nan_thresholds(field, value):
         load_bundle(doc)
 
 
+def test_bundle_reference_with_a_range_over_the_limit_is_config_error():
+    with pytest.raises(TaskConfigError, match="syntax errors, first in S!B1: range A1:CW100 covers 10100 cells"):
+        load_bundle({"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"B1": "=AVG(A1:CW100)"}}]}})
+
+
 def test_bundle_annotation_text_must_be_text():
     with pytest.raises(TaskConfigError, match="text"):
         load_bundle(
@@ -637,12 +646,16 @@ def test_long_fill_down_chain_gets_a_report(up):
     assert list(level6.messages) == [f"The constant '1' should be used in cell {start}."]
 
 
-def _keys_reversed(workbook):
-    """The workbook read back from a file that lists each sheet's cells in reverse."""
+def _keys_reordered(workbook, reorder):
+    """The workbook read back from a file that lists each sheet's cells in the order `reorder` gives."""
     doc = json.loads(write_workbook(workbook))
     for sheet in doc["sheets"]:
-        sheet["cells"] = dict(reversed(sheet["cells"].items()))
+        sheet["cells"] = dict(reorder(list(sheet["cells"].items())))
     return read_workbook(json.dumps(doc))
+
+
+def _keys_reversed(workbook):
+    return _keys_reordered(workbook, reversed)
 
 
 def _cycle_topped_chain():
@@ -662,3 +675,51 @@ def test_reports_do_not_depend_on_the_order_of_cells_in_the_file(grades, case):
             for workbook in (submission, reversed_submission)
         ]
         assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------- metamorphic relations
+
+
+@st.composite
+def _generated_cases(draw):
+    """(reference, submission, level) over genwb shapes.
+
+    The reference gains J1 = SUM(A1:H8), a range over the whole block that
+    genwb fills, formula cells included; the submission is the reference,
+    perhaps with one formula mutated.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    doc = json.loads(write_workbook(WorkbookGen(rng).workbook("reference")))
+    doc["sheets"][0]["cells"]["J1"] = "=SUM(A1:H8)"
+    reference = read_workbook(json.dumps(doc))
+    mutation = mutate_one_formula(rng, reference) if draw(st.booleans()) else None
+    return reference, mutation[0] if mutation else reference, draw(st.integers(1, 7))
+
+
+def _report(reference, submission, level):
+    bundle = TaskBundle(task="generated", reference=reference).validate()
+    return generate_feedback(bundle, submission, level, force_quality=(level == 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generated_cases(), st.randoms(use_true_random=False))
+def test_shuffled_keys_in_both_workbooks_give_the_same_report_bytes(case, rnd):
+    reference, submission, level = case
+    shuffled = [_keys_reordered(workbook, lambda items: rnd.sample(items, len(items))) for workbook in case[:2]]
+    assert render_json(_report(*shuffled, level)) == render_json(_report(reference, submission, level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _generated_cases(),
+    st.dictionaries(st.tuples(st.integers(1, 12), st.integers(10, 20)), st.integers(-9, 9), min_size=1, max_size=8),
+)
+def test_constants_at_unused_addresses_keep_the_diagnoses(case, padding):
+    # genwb uses A1:H8 and the reference adds J1, so rows 10-20 are unused
+    reference, submission, level = case
+    doc = json.loads(write_workbook(submission))
+    doc["sheets"][0]["cells"].update({f"{column_letters(col)}{row}": value for (col, row), value in padding.items()})
+    padded = _report(reference, read_workbook(json.dumps(doc)), level)
+    plain = _report(reference, submission, level)
+    assert padded.status is plain.status
+    assert [(d.cell, d.kind) for d in padded.diagnoses] == [(d.cell, d.kind) for d in plain.diagnoses]

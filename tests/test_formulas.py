@@ -27,6 +27,7 @@ from sheetcheck.formulas import (
     Unary,
     UnaryOp,
     node_key,
+    range_size,
 )
 
 from conftest import addr, make_workbook, texts
@@ -193,8 +194,18 @@ def test_references_of_drops_absoluteness():
 
 
 def test_references_capacity_error():
+    # the parser rejects such a range, so the AST is built directly
+    too_large = RangeRef(CellRef(addr("A1")), CellRef(addr("Z10000")))
     with pytest.raises(RangeCapacityError):
-        references_of(parse_formula("=SUM(A1:Z10000)"))
+        references_of(FuncCall("SUM", (too_large,)))
+
+
+def test_a_range_over_the_limit_is_a_syntax_error_at_its_position():
+    with pytest.raises(FormulaSyntaxError) as error:
+        parse_formula("=1+SUM(Data!A20000:A1)")
+    assert str(error.value) == "range A1:A20000 covers 20000 cells, limit is 10000"
+    assert error.value.position == 12
+    assert range_size(parse_formula("=A1:CV100")) == 10_000
 
 
 # ---------------------------------------------------------------- canonical forms
@@ -559,4 +570,4 @@ def test_parser_corpus_is_pinned():
     for op in [op for op in _CORPUS_OPERATORS if op != "^"]:
         source = "=" + op.join(f"A{i}" if i % 3 else f"-B{i}" for i in range(1, 5001))
         digest.update(repr(node_key(parse_formula(source))).encode())
-    assert digest.hexdigest() == "3fc20cfdea87cf5804518d48c85f71368180fc5a12b1e272900c40a96239e9bc"
+    assert digest.hexdigest() == "17bacdc0a311d787b3d72ecfdd741543b2611ca3d5e8c689b53fed5bdecc1f8e"

@@ -1,15 +1,24 @@
+import importlib
+import itertools
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcheck import (
     analyze,
     build_graph,
+    column_letters,
+    compute_metrics,
     export_dot,
     longest_chain,
+    match_values,
     parse_formula,
     references_of,
     terminals,
 )
-from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
+import graph_oracle
+from conftest import addr, examples, fill_down_cells, make_multi_workbook, make_workbook, range_sum_cells, texts
 
 
 def graph_of(cells):
@@ -135,12 +144,12 @@ def test_cycle_in_graph_iff_cycle_value():
 
     cyclic = make_workbook({"A1": "=B1", "B1": "=A1", "C1": 5})
     graph = build_graph(analyze(cyclic))
-    assert len(graph.acyclic_order) < len(graph.nodes)
+    assert len(graph.acyclic_order) < len(graph.formula_cells)
     assert any(v == CellError(ErrorKind.CYCLE) for v in evaluate(cyclic).values())
 
     acyclic = make_workbook({"A1": 1, "B1": "=A1"})
     graph = build_graph(analyze(acyclic))
-    assert len(graph.acyclic_order) == len(graph.nodes)
+    assert len(graph.acyclic_order) == len(graph.formula_cells)
     assert not any(v == CellError(ErrorKind.CYCLE) for v in evaluate(acyclic).values())
 
 
@@ -167,17 +176,20 @@ def test_graph_nodes_are_the_workbooks_own_addresses():
     assert len(graph.nodes) == 9_901
     assert all(node is own[node] for node in graph.nodes)
     assert all(target is own[target] for targets in graph.out_edges.values() for target in targets)
-    assert all(node is own[node] for node in graph.in_edges)
-    # every range member has the one SUM cell as its source: one shared tuple
-    assert len({id(sources) for sources in graph.in_edges.values()}) == 1
+    assert all(source is own[source] for node in graph.nodes for source in graph.dependents(node))
 
 
-def test_in_edges_are_row_major_and_equal_ones_shared():
+def test_dependents_are_row_major_through_cells_and_ranges():
     graph = graph_of({"A1": 1, "B2": "=A1+C1", "A3": "=C1*A1", "C3": "=A1", "A2": "=C1-A1"})
-    assert texts(graph.in_edges[addr("A1")]) == ["A2", "B2", "A3", "C3"]
-    assert texts(graph.in_edges[addr("C1")]) == ["A2", "B2", "A3"]
-    edges = graph_of({"A1": 1, "B1": 2, "C1": "=A1+B1", "C2": "=B1*A1"}).in_edges
-    assert edges[addr("A1")] is edges[addr("B1")]
+    assert texts(graph.dependents(addr("A1"))) == ["A2", "B2", "A3", "C3"]
+    assert texts(graph.dependents(addr("C1"))) == ["A2", "B2", "A3"]
+    assert graph.dependents(addr("D9")) == ()
+    graph = graph_of({"D1": "=SUM(A1:B3)+A2", "C2": "=A2", "A9": "=SUM(A2:C2,B1:B2)", "B9": "=Other!A2"})
+    assert texts(graph.dependents(addr("A2"))) == ["D1", "C2", "A9"]
+    assert texts(graph.dependents(addr("B2"))) == ["D1", "A9"]
+    assert texts(graph.dependents(addr("C2"))) == ["A9"]
+    assert texts(graph.dependents(addr("A2", "Other"))) == ["B9"]
+    assert graph.dependents(addr("A4")) == graph.dependents(addr("C1")) == ()
 
 
 class _CountedNodes(tuple):
@@ -189,10 +201,9 @@ class _CountedNodes(tuple):
 
 
 def test_second_terminals_call_makes_no_pass_over_the_nodes():
-    import dataclasses
-
     plain = build_graph(analyze(make_workbook(range_sum_cells(10, 10, short=True))))
-    graph = dataclasses.replace(plain, nodes=_CountedNodes(plain.nodes))
+    graph = build_graph(analyze(make_workbook(range_sum_cells(10, 10, short=True))))
+    graph.__dict__["nodes"] = _CountedNodes(graph.nodes)  # the cached expanded view
     _CountedNodes.passes = 0
     first = terminals(graph)
     assert _CountedNodes.passes > 0
@@ -200,3 +211,94 @@ def test_second_terminals_call_makes_no_pass_over_the_nodes():
     assert terminals(graph) is first
     assert _CountedNodes.passes == 0
     assert first == terminals(plain)
+
+
+# ---------------------------------------------------------------------------
+# Equality with the expanded reference implementation
+# ---------------------------------------------------------------------------
+
+_COLS, _ROWS = 6, 8
+_coords = st.tuples(st.integers(1, _COLS), st.integers(1, _ROWS))
+
+
+def _cell_text(coords):
+    col, row = coords
+    return f"{column_letters(col)}{row}"
+
+
+# A cell or a range, in either corner order, on this sheet, the other one
+# or a sheet the workbook lacks; a range may hold the formula's own cell.
+_references = st.builds(
+    lambda sheet, first, second: sheet + _cell_text(first) + (f":{_cell_text(second)}" if second else ""),
+    st.sampled_from(["", "", "", "Main!", "Data!", "Gone!"]),
+    _coords,
+    st.none() | _coords,
+)
+# Repeated references come from drawing with replacement; no references is "=1".
+_formulas = st.lists(_references, max_size=4).map(lambda refs: f"=SUM({','.join(refs)})" if refs else "=1")
+_sheet_cells = st.dictionaries(_coords.map(_cell_text), st.integers(0, 9) | _formulas, max_size=14)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(st.lists(_sheet_cells, min_size=1, max_size=2))
+def test_compact_graph_equals_the_expanded_oracle(sheets):
+    analysis = analyze(make_multi_workbook(dict(zip(("Main", "Data"), sheets))))
+    graph, oracle = analysis.graph, graph_oracle.build_graph(analysis)
+    assert compute_metrics(analysis) == graph_oracle.compute_oracle_metrics(analysis)
+    cyclic = set(graph.formula_cells) - set(graph.acyclic_order)
+    assert cyclic == set(oracle.nodes) - set(oracle.acyclic_order)
+    assert graph.outputs == graph_oracle.terminals(oracle)[0]
+    for sheet in ("Main", "Data", "Gone"):
+        for coords in itertools.product(range(1, _COLS + 1), range(1, _ROWS + 1)):
+            address = addr(_cell_text(coords), sheet)
+            assert graph.dependents(address) == oracle.in_edges.get(address, ())
+    assert graph.nodes == oracle.nodes and graph.out_edges == oracle.out_edges
+    assert list(graph.edges()) == list(oracle.edges()) and graph.edge_count == len(list(oracle.edges()))
+    assert terminals(graph) == graph_oracle.terminals(oracle)
+
+
+# ---------------------------------------------------------------------------
+# Work that does not grow with range area
+# ---------------------------------------------------------------------------
+
+
+def _metrics_peak(rows, cols):
+    """Peak bytes allocated while a fresh analysis builds its graph and metrics."""
+    analysis = analyze(make_workbook(range_sum_cells(rows, cols, short=True)))
+    tracemalloc.start()
+    try:
+        compute_metrics(analysis)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_and_metrics_memory_does_not_grow_with_range_area():
+    small, large = _metrics_peak(10, 10), _metrics_peak(100, 100)
+    assert large <= 2 * small, (small, large)
+
+
+def test_only_evaluation_expands_a_submission_range(monkeypatch):
+    evaluation = importlib.import_module("sheetcheck.evaluate")
+    formulas = importlib.import_module("sheetcheck.formulas")
+    reference = analyze(make_workbook(range_sum_cells(100, 100)))
+    reference.graph.out_edges  # noqa: B018 - the reference walk expands its graph once per bundle
+    calls = {"formulas": 0, "evaluate": 0}
+
+    def counted(module, key):
+        expand = module.range_addresses
+
+        def counting(ref):
+            calls[key] += 1
+            return expand(ref)
+
+        monkeypatch.setattr(module, "range_addresses", counting)
+
+    counted(formulas, "formulas")
+    counted(evaluation, "evaluate")
+    submission = analyze(make_workbook(range_sum_cells(100, 100, short=True)))
+    assert calls == {"formulas": 0, "evaluate": 1}
+    compute_metrics(submission)
+    result = match_values(reference, submission)
+    assert texts(result.formula_errors) == ["A102"]
+    assert calls["formulas"] == 0  # the graph, the metrics and matching expand no range

@@ -22,7 +22,7 @@ from sheetcheck import (
 )
 
 import matching_oracle
-from conftest import addr, fill_down_cells, make_workbook, range_sum_cells, texts
+from conftest import addr, examples, fill_down_cells, make_workbook, range_sum_cells, texts
 from genwb import WorkbookGen, mutate_one_formula
 
 
@@ -318,6 +318,7 @@ def _number_at(sheets, name):
 
 _EDITS = (
     "cycle",
+    "range",
     "self_reference",
     "missing_sheet",
     "bad_ref_cycle",
@@ -333,7 +334,7 @@ def matching_cases(draw):
 
     The reference may gain a second sheet that its formulas reference.  The
     submission starts from the reference, perhaps with one formula mutated,
-    and takes up to three edits that add cycles, references to a missing
+    and takes up to three edits that add cycles, ranges, references to a missing
     sheet, changed constants, formulas where the reference holds a constant
     or drop the second sheet.  Such a formula reads an earlier formula cell
     and holds the reference constant while that cell holds its reference or
@@ -360,6 +361,8 @@ def matching_cases(draw):
         if edit == "cycle":
             later = names[names.index(target):]
             cells[target] = f"={rng.choice(later)}+{rng.choice(names)}"
+        elif edit == "range":  # a range from A1, which may hold the cell itself
+            cells[target] = f"=SUM(A1:{rng.choice(names)})+{rng.choice(names)}"
         elif edit == "self_reference":
             cells[target] = f"={target}*2"
         elif edit == "missing_sheet":
@@ -394,7 +397,7 @@ def matching_cases(draw):
     return reference, read_workbook(json.dumps({"name": "submission", "sheets": submission})), graded
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(matching_cases())
 def test_match_values_equals_fresh_memo_oracle(case):
     reference, submission, graded = case
