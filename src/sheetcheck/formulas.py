@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter, mul
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .grid import (
     DEFAULT_SHEET,
@@ -195,10 +196,10 @@ def _over_limit(ref: RangeRef) -> str:
 
 
 # A rectangle of cells on one sheet: (sheet, top, left, bottom, right).
-Box = tuple[str, int, int, int, int]
+_Box = tuple[str, int, int, int, int]
 
 
-def _box(ref: CellRef | RangeRef) -> Box:
+def _box(ref: CellRef | RangeRef) -> _Box:
     start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
     sheet, top, left = start.address
     _, bottom, right = end.address
@@ -591,14 +592,14 @@ def references_of(ast: FormulaAst) -> tuple[CellAddress, ...]:
     return row_major(dict.fromkeys(found))
 
 
-def reference_boxes(ast: FormulaAst) -> tuple[Box, ...]:
+def reference_boxes(ast: FormulaAst) -> tuple[_Box, ...]:
     """The distinct references of a formula as boxes, in the order the formula lists them.
 
     A box is (sheet, top, left, bottom, right): a range is one box and a
     cell reference a 1x1 box; absoluteness flags are dropped.  No range is
     expanded.
     """
-    boxes: dict[Box, None] = {}
+    boxes: dict[_Box, None] = {}
     for node in walk_ast(ast):
         if isinstance(node, CellRef):
             sheet, row, col = node.address
@@ -613,43 +614,75 @@ def reference_boxes(ast: FormulaAst) -> tuple[Box, ...]:
 # --------------------------------------------------------------------------
 
 
-def _cover(boxes: list[tuple[int, int, int, int, int]]) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-    """Pieces of constant total weight under weighted boxes on one sheet.
+# A box of cells on one sheet that carries a key: (top, left, bottom, right, key).
+KeyedBox = tuple[int, int, int, int, Hashable]
 
-    Each box is (top, left, bottom, right, weight).  The rows between two
-    consecutive box edges form a band, and in a band the columns between
-    two consecutive edges of its boxes form a piece.  Returns the bands
-    from the top as (top, bottom, pieces), each piece (left, right, weight)
-    with a weight that is not zero, left to right; bands without such a
-    piece are left out.  No cell is visited.
+# Bands of rows, each cut into pieces of columns: (top, bottom, [(left, right, label), ...]).
+Bands = list[tuple[int, int, list[tuple[int, int, Any]]]]
+
+
+def sweep(boxes: Sequence[KeyedBox], label: Callable[[dict[Hashable, int]], Any]) -> Bands:
+    """Cut keyed boxes on one sheet into pieces of constant cover.
+
+    The rows between two consecutive box edges form a band, and in a band
+    the columns between two consecutive edges of its boxes form a piece.
+    A piece carries `label(live)`, where `live` maps each key to the
+    number of its boxes that cover the piece; `live` is reused, so a label
+    must not keep it.  Returns the bands from the top as (top, bottom,
+    pieces), each piece (left, right, label) with a label that is not
+    empty or zero, left to right; bands without such a piece are left
+    out.  No cell is visited.
     """
     if len(boxes) == 1:
-        top, left, bottom, right, weight = boxes[0]
-        return [(top, bottom, [(left, right, weight)])] if weight else []
+        top, left, bottom, right, key = boxes[0]
+        carried = label({key: 1})
+        return [(top, bottom, [(left, right, carried)])] if carried else []
     edges = sorted({box[0] for box in boxes} | {box[2] + 1 for box in boxes})
-    pending = sorted(boxes, reverse=True)  # popped from the end, by top row
-    active: list[tuple[int, int, int, int, int]] = []
-    bands = []
+    pending = sorted(boxes, key=itemgetter(0), reverse=True)  # popped from the end, by top row
+    active: list[KeyedBox] = []
+    bands: Bands = []
     for top, next_edge in zip(edges, edges[1:]):
         while pending and pending[-1][0] == top:
             active.append(pending.pop())
         active = [box for box in active if box[2] >= top]
-        deltas: dict[int, int] = {}
-        for _, left, _, right, weight in active:
-            deltas[left] = deltas.get(left, 0) + weight
-            deltas[right + 1] = deltas.get(right + 1, 0) - weight
+        deltas: dict[tuple[int, Hashable], int] = {}  # (column, key) -> change in the key's covering boxes
+        for _, left, _, right, key in active:
+            deltas[left, key] = deltas.get((left, key), 0) + 1
+            deltas[right + 1, key] = deltas.get((right + 1, key), 0) - 1
+        live: dict[Hashable, int] = {}
         pieces = []
-        level = start = 0
-        for col in sorted(deltas):
-            change = deltas[col]
-            if change:
-                if level:
-                    pieces.append((start, col - 1, level))
-                level += change
+        start = 0
+        for (col, key), change in sorted(deltas.items()):
+            if not change:
+                continue
+            if col != start:
+                if live:
+                    carried = label(live)
+                    if carried:
+                        pieces.append((start, col - 1, carried))
                 start = col
+            count = live.get(key, 0) + change
+            if count:
+                live[key] = count
+            else:
+                del live[key]
         if pieces:
             bands.append((top, next_edge - 1, pieces))
     return bands
+
+
+def _total_weight(live: dict[Hashable, int]) -> int:
+    return sum(map(mul, live, live.values()))
+
+
+def _cover(boxes: list[tuple[int, int, int, int, int]]) -> Bands:
+    """Pieces of constant total weight under weighted boxes on one sheet.
+
+    Each box is (top, left, bottom, right, weight), its weight as its key
+    to `sweep`; a piece carries the sum of the weights of the boxes that
+    cover it, and pieces of weight zero are left out.
+    """
+    return sweep(boxes, _total_weight)
 
 
 def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
@@ -695,29 +728,17 @@ def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, 
     return done
 
 
-def union_area(boxes: Sequence[Box]) -> int:
-    """How many distinct cells the boxes cover.
-
-    The cells of a sheet that no larger box shares are counted as a set,
-    so many cell references cost no sweep.
-    """
-    if len(boxes) == 1:
-        _, top, left, bottom, right = boxes[0]
-        return (bottom - top + 1) * (right - left + 1)
+def union_area(boxes: Sequence[_Box]) -> int:
+    """How many distinct cells the boxes cover."""
     by_sheet: dict[str, list[tuple[int, int, int, int, int]]] = {}
-    swept: set[str] = set()  # sheets with a box larger than one cell
     for sheet, top, left, bottom, right in boxes:
         by_sheet.setdefault(sheet, []).append((top, left, bottom, right, 1))
-        if top != bottom or left != right:
-            swept.add(sheet)
-    total = 0
-    for sheet, sheet_boxes in by_sheet.items():
-        if sheet not in swept:
-            total += len(set(sheet_boxes))
-            continue
-        for top, bottom, pieces in _cover(sheet_boxes):
-            total += (bottom - top + 1) * sum(right - left + 1 for left, right, _ in pieces)
-    return total
+    return sum(
+        (bottom - top + 1) * (right - left + 1)
+        for sheet_boxes in by_sheet.values()
+        for top, bottom, pieces in _cover(sheet_boxes)
+        for left, right, _ in pieces
+    )
 
 
 def distinct_cells(refs: Iterable[CellRef | RangeRef]) -> int:

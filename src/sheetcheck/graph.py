@@ -7,11 +7,12 @@ them) are the output nodes, sinks (they refer to nothing) are the input
 nodes.
 
 The graph is stored over formula cells and reference rectangles: each
-formula cell keeps its distinct references as boxes, a range as one box,
-and the formula cells that lie inside them.  Cycles, the longest chain,
-the terminal and fan counts and the dependents of a cell are computed
-from those without expanding a range of more than 16 cells, so their cost
-grows with the number of formulas and references, not with range area.
+formula cell keeps its out-degree and the formula cells that lie inside
+its references, and a range of more than 16 cells is kept as one box.
+Cycles, the longest chain, the terminal and fan counts and the
+dependents of a cell are computed from those without expanding such a
+range, so their cost grows with the number of formulas and references,
+not with range area.
 Only the `nodes`, `out_edges` and `edges()` views expand every range,
 when first read.
 """
@@ -21,21 +22,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse, groupby
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
-from .formulas import Box, FormulaAst, reference_boxes, references_of, union_area
+from .formulas import Bands, FormulaAst, reference_boxes, references_of, sweep, union_area
 from .grid import BLANK, CellAddress, Number, Workbook, format_value, row_major
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
-
-# The range boxes of one sheet cut into bands of rows and each band into
-# pieces of columns: (top, bottom, [(left, right, owners), ...]), where
-# `owners` are the distinct formula cells whose boxes cover the piece.
-_Bands = list[tuple[int, int, list[tuple[int, int, tuple[CellAddress, ...]]]]]
 
 # A box this small is indexed cell by cell: a few dict entries cost less
 # than a band sweep, and a box still costs O(1).
@@ -47,12 +43,10 @@ class DependencyGraph:
     """The dependency graph of an analysed workbook, over formula cells and boxes.
 
     `formula_cells` lists the formula cells row-major, and the maps below
-    list them in that order.  `references` maps each to its distinct
-    references as boxes (sheet, top, left, bottom, right), a cell
-    reference as a 1x1 box, and `fan_out` to its out-degree, the number of
-    distinct cells in those boxes.  `precedents` maps each to the formula
-    cells inside those boxes, once each: the edges between formula cells,
-    a formula inside its own range included.
+    list them in that order.  `fan_out` maps each to its out-degree, the
+    number of distinct cells its references cover, and `precedents` to
+    the formula cells among those, once each: the edges between formula
+    cells, a formula inside its own range included.
 
     Who references a cell is indexed in two parts.  `listed` maps each cell
     of a box of at most `_LISTED_AREA` cells, as a plain (sheet, row, col)
@@ -65,7 +59,6 @@ class DependencyGraph:
     workbook: Workbook = field(repr=False)
     formulas: Mapping[CellAddress, FormulaAst] = field(repr=False)
     formula_cells: tuple[CellAddress, ...]
-    references: Mapping[CellAddress, tuple[Box, ...]]
     fan_out: Mapping[CellAddress, int]
     precedents: Mapping[CellAddress, tuple[CellAddress, ...]]
     listed: Mapping[tuple, list[CellAddress]]
@@ -113,9 +106,13 @@ class DependencyGraph:
         return max(self.fan_out.items(), key=itemgetter(1), default=None)
 
     @cached_property
-    def _bands(self) -> dict[str, _Bands]:
-        """The bands of each sheet's larger boxes, built on first use."""
-        return {sheet: _cut_bands(boxes) for sheet, boxes in self.ranges.items()}
+    def _bands(self) -> dict[str, Bands]:
+        """The bands of each sheet's larger boxes, built on first use.
+
+        A piece of a band carries the distinct formula cells whose boxes
+        cover it.
+        """
+        return {sheet: sweep(boxes, tuple) for sheet, boxes in self.ranges.items()}
 
     def dependents(self, address: CellAddress) -> tuple[CellAddress, ...]:
         """The formula cells that reference `address`, row-major: its in-edges.
@@ -198,46 +195,7 @@ class DependencyGraph:
         return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
 
 
-def _cut_bands(boxes: list[tuple[int, int, int, int, CellAddress]]) -> _Bands:
-    """The bands of one sheet's range boxes, each box given as (top, left, bottom, right, owner).
-
-    As in `formulas._cover`, the rows between consecutive box edges form a
-    band and the columns between consecutive edges of its boxes a piece.
-    A piece lists the distinct owners of the boxes that cover it; pieces
-    and bands that no box covers are left out.  No cell is visited.
-    """
-    if len(boxes) == 1:
-        top, left, bottom, right, owner = boxes[0]
-        return [(top, bottom, [(left, right, (owner,))])]
-    edges = sorted({box[0] for box in boxes} | {box[2] + 1 for box in boxes})
-    pending = sorted(boxes, key=itemgetter(0), reverse=True)  # popped from the end, by top row
-    active: list[tuple[int, int, int, int, CellAddress]] = []
-    bands: _Bands = []
-    for top, next_edge in zip(edges, edges[1:]):
-        while pending and pending[-1][0] == top:
-            active.append(pending.pop())
-        active = [box for box in active if box[2] >= top]
-        events = [(box[1], 1, box[4]) for box in active] + [(box[3] + 1, -1, box[4]) for box in active]
-        events.sort(key=itemgetter(0))
-        live: dict[CellAddress, int] = {}  # owner -> its boxes covering the current column
-        pieces = []
-        start = 0
-        for col, changes in groupby(events, itemgetter(0)):
-            if live:
-                pieces.append((start, col - 1, tuple(live)))
-            for _, change, owner in changes:
-                count = live.get(owner, 0) + change
-                if count:
-                    live[owner] = count
-                else:
-                    del live[owner]
-            start = col
-        if pieces:
-            bands.append((top, next_edge - 1, pieces))
-    return bands
-
-
-def _owners_at(bands: _Bands, row: int, col: int) -> tuple[CellAddress, ...]:
+def _owners_at(bands: Bands, row: int, col: int) -> tuple[CellAddress, ...]:
     """The owners of the piece of `bands` that holds the cell at (row, col), or ()."""
     index = bisect_right(bands, row, key=itemgetter(0)) - 1
     if index >= 0 and row <= bands[index][1]:
@@ -260,25 +218,25 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     formulas = analysis.formulas
     cells = row_major(formulas)
     own = dict(zip(cells, cells))
-    references: dict[CellAddress, tuple[Box, ...]] = {}
     fan_out: dict[CellAddress, int] = {}
     precedents: dict[CellAddress, tuple[CellAddress, ...]] = {}
     listed: dict[tuple, list[CellAddress]] = {}
     ranges: dict[str, list[tuple[int, int, int, int, CellAddress]]] = {}
     for cell in cells:
-        boxes = references[cell] = reference_boxes(formulas[cell])
-        found: list[CellAddress] = []
+        boxes = reference_boxes(formulas[cell])
         targets: list[tuple] = []
-        ranged = False
+        found: list[CellAddress] = []
+        large = False
         for sheet, top, left, bottom, right in boxes:
-            if top == bottom and left == right:
-                target = (sheet, top, left)
-                targets.append(target)
-                if target in own:
-                    found.append(own[target])
-                continue
-            ranged = True
             area = (bottom - top + 1) * (right - left + 1)
+            if area == 1:  # most references: no list of members to build
+                targets.append((sheet, top, left))
+                continue
+            if area <= _LISTED_AREA:
+                targets += [(sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1)]
+                continue
+            large = True
+            ranges.setdefault(sheet, []).append((top, left, bottom, right, cell))
             first = bisect_left(cells, (sheet, top, left))
             last = bisect_right(cells, (sheet, bottom, right))
             if last - first <= area:
@@ -286,16 +244,13 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
             else:
                 members = ((sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1))
                 found += filter(None, map(own.get, members))
-            if area <= _LISTED_AREA:
-                targets += [(sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1)]
-            else:
-                ranges.setdefault(sheet, []).append((top, left, bottom, right, cell))
-        # The boxes are distinct, so only a listed range can repeat a cell.
-        for target in dict.fromkeys(targets) if len(targets) > len(boxes) else targets:
+        targets = dict.fromkeys(targets)  # listed boxes may overlap
+        for target in targets:
             listed.setdefault(target, []).append(cell)
+        found += filter(None, map(own.get, targets))
         precedents[cell] = tuple(dict.fromkeys(found))
-        fan_out[cell] = union_area(boxes) if ranged else len(boxes)
-    return DependencyGraph(analysis.workbook, formulas, cells, references, fan_out, precedents, listed, ranges)
+        fan_out[cell] = union_area(boxes) if large else len(targets)
+    return DependencyGraph(analysis.workbook, formulas, cells, fan_out, precedents, listed, ranges)
 
 
 def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
