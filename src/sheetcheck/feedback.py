@@ -246,7 +246,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         base = path.parent if base_dir is None else Path(base_dir)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # a RecursionError on deep nesting
             raise TaskConfigError(f"invalid task bundle JSON in {path}: {exc}") from exc
     else:
         doc = dict(source)

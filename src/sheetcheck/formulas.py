@@ -13,8 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, mul
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .grid import (
     DEFAULT_SHEET,
@@ -614,75 +613,53 @@ def reference_boxes(ast: FormulaAst) -> tuple[_Box, ...]:
 # --------------------------------------------------------------------------
 
 
-# A box of cells on one sheet that carries a key: (top, left, bottom, right, key).
-KeyedBox = tuple[int, int, int, int, Hashable]
+# A box of cells on one sheet with a weight: (top, left, bottom, right, weight).
+WeightedBox = tuple[int, int, int, int, int]
 
-# Bands of rows, each cut into pieces of columns: (top, bottom, [(left, right, label), ...]).
-Bands = list[tuple[int, int, list[tuple[int, int, Any]]]]
+# Bands of rows, each cut into pieces of columns: (top, bottom, [(left, right, weight), ...]).
+Bands = list[tuple[int, int, list[tuple[int, int, int]]]]
 
 
-def sweep(boxes: Sequence[KeyedBox], label: Callable[[dict[Hashable, int]], Any]) -> Bands:
-    """Cut keyed boxes on one sheet into pieces of constant cover.
+def cover(boxes: Sequence[WeightedBox]) -> Bands:
+    """Cut weighted boxes on one sheet into pieces of constant total weight.
 
-    The rows between two consecutive box edges form a band, and in a band
-    the columns between two consecutive edges of its boxes form a piece.
-    A piece carries `label(live)`, where `live` maps each key to the
-    number of its boxes that cover the piece; `live` is reused, so a label
-    must not keep it.  Returns the bands from the top as (top, bottom,
-    pieces), each piece (left, right, label) with a label that is not
-    empty or zero, left to right; bands without such a piece are left
-    out.  No cell is visited.
+    The rows between two consecutive box edges form a band, and a band is
+    cut where the summed weight of the boxes over it changes.  Returns the
+    bands from the top as (top, bottom, pieces), each piece (left, right,
+    weight) with the summed weight of the boxes that cover it, left to
+    right; pieces of weight zero and bands without pieces are left out.
+    No cell is visited: the net change of weight at each column edge of
+    the live boxes is kept, and updated only on the rows where a box
+    starts or ends.
     """
     if len(boxes) == 1:
-        top, left, bottom, right, key = boxes[0]
-        carried = label({key: 1})
-        return [(top, bottom, [(left, right, carried)])] if carried else []
-    edges = sorted({box[0] for box in boxes} | {box[2] + 1 for box in boxes})
-    pending = sorted(boxes, key=itemgetter(0), reverse=True)  # popped from the end, by top row
-    active: list[KeyedBox] = []
+        top, left, bottom, right, weight = boxes[0]
+        return [(top, bottom, [(left, right, weight)])] if weight else []
+    events: dict[int, list[tuple[int, int, int]]] = {}  # row -> (left, right, change) of boxes that start or end
+    for top, left, bottom, right, weight in boxes:
+        events.setdefault(top, []).append((left, right, weight))
+        events.setdefault(bottom + 1, []).append((left, right, -weight))
+    deltas: dict[int, int] = {}  # column -> net change of weight there, never 0
     bands: Bands = []
-    for top, next_edge in zip(edges, edges[1:]):
-        while pending and pending[-1][0] == top:
-            active.append(pending.pop())
-        active = [box for box in active if box[2] >= top]
-        deltas: dict[tuple[int, Hashable], int] = {}  # (column, key) -> change in the key's covering boxes
-        for _, left, _, right, key in active:
-            deltas[left, key] = deltas.get((left, key), 0) + 1
-            deltas[right + 1, key] = deltas.get((right + 1, key), 0) - 1
-        live: dict[Hashable, int] = {}
+    rows = sorted(events)
+    for top, next_edge in zip(rows, rows[1:]):
+        for left, right, weight in events[top]:
+            for col, change in ((left, weight), (right + 1, -weight)):
+                change += deltas.get(col, 0)
+                if change:
+                    deltas[col] = change
+                else:
+                    deltas.pop(col, None)  # a box of weight 0 adds no key
         pieces = []
-        start = 0
-        for (col, key), change in sorted(deltas.items()):
-            if not change:
-                continue
-            if col != start:
-                if live:
-                    carried = label(live)
-                    if carried:
-                        pieces.append((start, col - 1, carried))
-                start = col
-            count = live.get(key, 0) + change
-            if count:
-                live[key] = count
-            else:
-                del live[key]
+        weight = start = 0
+        for col, change in sorted(deltas.items()):
+            if weight:
+                pieces.append((start, col - 1, weight))
+            weight += change
+            start = col
         if pieces:
             bands.append((top, next_edge - 1, pieces))
     return bands
-
-
-def _total_weight(live: dict[Hashable, int]) -> int:
-    return sum(map(mul, live, live.values()))
-
-
-def _cover(boxes: list[tuple[int, int, int, int, int]]) -> Bands:
-    """Pieces of constant total weight under weighted boxes on one sheet.
-
-    Each box is (top, left, bottom, right, weight), its weight as its key
-    to `sweep`; a piece carries the sum of the weights of the boxes that
-    cover it, and pieces of weight zero are left out.
-    """
-    return sweep(boxes, _total_weight)
 
 
 def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
@@ -699,7 +676,7 @@ def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, 
         return [(top, left, bottom, right)]  # distinct cells that fill their bounding box, as in A1+A2+A3
     done: list[tuple[int, int, int, int]] = []
     growing: dict[tuple[int, int, int], tuple[int, int]] = {}  # (layer, left, right) -> (top, bottom)
-    for top, bottom, pieces in _cover([(*box, 1) for box in boxes]):
+    for top, bottom, pieces in cover([(*box, 1) for box in boxes]):
         runs: list[tuple[int, int, int]] = []
         starts: list[int] = []  # starts[k]: first column of the open run of layer k + 1
         end = 0
@@ -728,17 +705,26 @@ def _rectangles(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int, 
     return done
 
 
-def union_area(boxes: Sequence[_Box]) -> int:
-    """How many distinct cells the boxes cover."""
-    by_sheet: dict[str, list[tuple[int, int, int, int, int]]] = {}
+def disjoint_boxes(boxes: Iterable[_Box]) -> list[_Box]:
+    """Boxes that cover the same cells as `boxes`, each cell once.
+
+    The boxes of each sheet are cut into the pieces of their `cover`; the
+    sheets come in the order they first appear.
+    """
+    by_sheet: dict[str, list[WeightedBox]] = {}
     for sheet, top, left, bottom, right in boxes:
         by_sheet.setdefault(sheet, []).append((top, left, bottom, right, 1))
-    return sum(
-        (bottom - top + 1) * (right - left + 1)
-        for sheet_boxes in by_sheet.values()
-        for top, bottom, pieces in _cover(sheet_boxes)
+    return [
+        (sheet, top, left, bottom, right)
+        for sheet, sheet_boxes in by_sheet.items()
+        for top, bottom, pieces in cover(sheet_boxes)
         for left, right, _ in pieces
-    )
+    ]
+
+
+def union_area(boxes: Iterable[_Box]) -> int:
+    """How many distinct cells the boxes cover."""
+    return sum((bottom - top + 1) * (right - left + 1) for _, top, left, bottom, right in disjoint_boxes(boxes))
 
 
 def distinct_cells(refs: Iterable[CellRef | RangeRef]) -> int:
@@ -772,7 +758,7 @@ def reference_difference(a: FormulaAst, b: FormulaAst) -> tuple[list[RefItem], l
         if sorted(mine) == sorted(theirs):
             continue
         weighted = [(*box, 1) for box in mine] + [(*box, -1) for box in theirs]
-        for top, bottom, pieces in _cover(weighted):
+        for top, bottom, pieces in cover(weighted):
             for left, right, weight in pieces:
                 items = [(address, col_abs, row_abs) for address in _cells(sheet, top, left, bottom, right)]
                 (missing if weight > 0 else surplus).extend(items * abs(weight))

@@ -9,12 +9,13 @@ nodes.
 The graph is stored over formula cells and reference rectangles: each
 formula cell keeps its out-degree and the formula cells that lie inside
 its references, and a range of more than 16 cells is kept as one box.
-Cycles, the longest chain, the terminal and fan counts and the
-dependents of a cell are computed from those without expanding such a
-range, so their cost grows with the number of formulas and references,
-not with range area.
-Only the `nodes`, `out_edges` and `edges()` views expand every range,
-when first read.
+A formula's boxes are cut apart when they overlap such a box, so a
+cell's in-degree is the number of boxes that hold it.  Cycles, the
+longest chain, the terminal and fan counts and the dependents of a cell
+are computed without expanding such a range, so their cost grows with
+the number of formulas and references, not with range area.  Only the
+`nodes`, `out_edges` and `edges()` views expand every range, when first
+read.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
-from .formulas import Bands, FormulaAst, reference_boxes, references_of, sweep, union_area
+from .formulas import Bands, FormulaAst, cover, disjoint_boxes, reference_boxes, references_of
 from .grid import BLANK, CellAddress, Number, Workbook, format_value, row_major
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
 
 # A box this small is indexed cell by cell: a few dict entries cost less
-# than a band sweep, and a box still costs O(1).
+# than a box that every `dependents` lookup on its sheet scans.
 _LISTED_AREA = 16
 
 
@@ -48,8 +49,9 @@ class DependencyGraph:
     the formula cells among those, once each: the edges between formula
     cells, a formula inside its own range included.
 
-    Who references a cell is indexed in two parts.  `listed` maps each cell
-    of a box of at most `_LISTED_AREA` cells, as a plain (sheet, row, col)
+    Who references a cell is indexed in two parts, over each formula's
+    boxes, which `build_graph` keeps disjoint.  `listed` maps each cell of
+    a box of at most `_LISTED_AREA` cells, as a plain (sheet, row, col)
     tuple, to the formula cells whose boxes hold it, row-major.  `ranges`
     maps each sheet to its larger boxes as (top, left, bottom, right,
     formula cell).  `workbook` and `formulas`, its parsed formula cells,
@@ -105,48 +107,46 @@ class DependencyGraph:
         """The largest out-degree, with the first formula cell row-major that has it."""
         return max(self.fan_out.items(), key=itemgetter(1), default=None)
 
-    @cached_property
-    def _bands(self) -> dict[str, Bands]:
-        """The bands of each sheet's larger boxes, built on first use.
-
-        A piece of a band carries the distinct formula cells whose boxes
-        cover it.
-        """
-        return {sheet: sweep(boxes, tuple) for sheet, boxes in self.ranges.items()}
-
     def dependents(self, address: CellAddress) -> tuple[CellAddress, ...]:
         """The formula cells that reference `address`, row-major: its in-edges.
 
-        The first call on a graph with larger boxes cuts them into bands;
-        after that a lookup costs about the size of its answer.
+        A formula cell's are its users among the formula edges; any other
+        cell's come from `listed` and a scan of its sheet's larger boxes.
         """
+        if address in self.fan_out:
+            return tuple(self._users.get(address, ()))
         direct = self.listed.get(address, ())
         sheet, row, col = address
-        bands = self._bands.get(sheet) if self.ranges else None
-        ranged = _owners_at(bands, row, col) if bands else ()
-        return row_major({*direct, *ranged}) if ranged else tuple(direct)
+        boxes = self.ranges.get(sheet, ())
+        ranged = [cell for top, left, bottom, right, cell in boxes if top <= row <= bottom and left <= col <= right]
+        # A formula references a cell through one box at most, so the two never share a cell.
+        return row_major(direct + ranged) if direct and ranged else tuple(direct or ranged)
 
     @cached_property
     def _fan_in(self) -> tuple[int, tuple[CellAddress, int] | None]:
-        """(distinct referenced cells, the largest in-degree with the first cell row-major that has it)."""
-        cells, ranges = self.listed, self._bands
+        """(distinct referenced cells, the largest in-degree with the first cell row-major that has it).
+
+        A cell's in-degree counts its `listed` formula cells and the larger boxes that hold it.
+        """
+        cells = self.listed
+        bands = {sheet: cover([(*box[:4], 1) for box in boxes]) for sheet, boxes in self.ranges.items()}
         distinct = len(cells)
         degrees = dict(zip(cells, map(len, cells.values())))
-        if ranges:
-            for target, users in cells.items():
-                bands = ranges.get(target[0])
-                owners = _owners_at(bands, target[1], target[2]) if bands else ()
-                if owners:
-                    degrees[target] = len({*users, *owners})
+        if bands:
+            for target in cells:
+                sheet_bands = bands.get(target[0])
+                weight = _weight_at(sheet_bands, target[1], target[2]) if sheet_bands else 0
+                if weight:
+                    degrees[target] += weight
                     distinct -= 1  # counted with the range pieces below
         # Every cell of a piece has at least the piece's degree, so its
         # first cell stands for the piece.
-        for sheet, bands in ranges.items():
-            for top, bottom, pieces in bands:
-                for left, right, owners in pieces:
+        for sheet, sheet_bands in bands.items():
+            for top, bottom, pieces in sheet_bands:
+                for left, right, weight in pieces:
                     distinct += (bottom - top + 1) * (right - left + 1)
                     first = (sheet, top, left)
-                    degrees[first] = max(degrees.get(first, 0), len(owners))
+                    degrees[first] = max(degrees.get(first, 0), weight)
         if not degrees:
             return distinct, ((self.formula_cells[0], 0) if self.formula_cells else None)
         most = max(degrees.values())
@@ -195,25 +195,26 @@ class DependencyGraph:
         return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
 
 
-def _owners_at(bands: Bands, row: int, col: int) -> tuple[CellAddress, ...]:
-    """The owners of the piece of `bands` that holds the cell at (row, col), or ()."""
+def _weight_at(bands: Bands, row: int, col: int) -> int:
+    """The weight of the piece of `bands` that holds the cell at (row, col), or 0."""
     index = bisect_right(bands, row, key=itemgetter(0)) - 1
     if index >= 0 and row <= bands[index][1]:
         pieces = bands[index][2]
         index = bisect_right(pieces, col, key=itemgetter(0)) - 1
         if index >= 0 and col <= pieces[index][1]:
             return pieces[index][2]
-    return ()
+    return 0
 
 
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     """Build the dependency graph of an analysed workbook.
 
     The references come from the analysis's parsed formulas; references to
-    absent cells and to nonexistent sheets count too.  The formula cells
-    inside a range are found by looking up each of its cells or by
-    scanning the formula cells in its rows, whichever are fewer, and only
-    a range of at most `_LISTED_AREA` cells is listed cell by cell.
+    absent cells and to nonexistent sheets count too.  Several references,
+    one over `_LISTED_AREA` cells, are cut into disjoint boxes first.  The
+    formula cells inside a range are found by looking up each of its cells
+    or by scanning the formula cells in its rows, whichever are fewer, and
+    only a box of at most `_LISTED_AREA` cells is listed cell by cell.
     """
     formulas = analysis.formulas
     cells = row_major(formulas)
@@ -224,9 +225,13 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     ranges: dict[str, list[tuple[int, int, int, int, CellAddress]]] = {}
     for cell in cells:
         boxes = reference_boxes(formulas[cell])
+        if len(boxes) > 1 and any(
+            (bottom - top + 1) * (right - left + 1) > _LISTED_AREA for _, top, left, bottom, right in boxes
+        ):
+            boxes = disjoint_boxes(boxes)  # each cell in one box, so the counts below are plain sums
         targets: list[tuple] = []
         found: list[CellAddress] = []
-        large = False
+        span = 0  # the cells of the larger boxes
         for sheet, top, left, bottom, right in boxes:
             area = (bottom - top + 1) * (right - left + 1)
             if area == 1:  # most references: no list of members to build
@@ -235,7 +240,7 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
             if area <= _LISTED_AREA:
                 targets += [(sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1)]
                 continue
-            large = True
+            span += area
             ranges.setdefault(sheet, []).append((top, left, bottom, right, cell))
             first = bisect_left(cells, (sheet, top, left))
             last = bisect_right(cells, (sheet, bottom, right))
@@ -244,12 +249,13 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
             else:
                 members = ((sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1))
                 found += filter(None, map(own.get, members))
-        targets = dict.fromkeys(targets)  # listed boxes may overlap
+        if not span:
+            targets = dict.fromkeys(targets)  # small boxes may overlap
         for target in targets:
             listed.setdefault(target, []).append(cell)
         found += filter(None, map(own.get, targets))
-        precedents[cell] = tuple(dict.fromkeys(found))
-        fan_out[cell] = union_area(boxes) if large else len(targets)
+        precedents[cell] = tuple(found)
+        fan_out[cell] = len(targets) + span
     return DependencyGraph(analysis.workbook, formulas, cells, fan_out, precedents, listed, ranges)
 
 

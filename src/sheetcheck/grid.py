@@ -364,7 +364,7 @@ def read_workbook(text: str) -> Workbook:
         doc = json.loads(text, object_pairs_hook=_reject_duplicates, parse_constant=_reject_nonfinite)
     except WorkbookFormatError:
         raise
-    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past int's digit limit or deep nesting
         raise WorkbookFormatError(f"invalid workbook JSON: {exc}") from exc
     return workbook_from_doc(doc)
 

@@ -14,15 +14,15 @@ submission's grid, so a cell that no correction reaches costs a lookup.
 A correction stores the reference value and drops the memo entries of
 the cells that depend on the corrected one, transitively; they are
 evaluated again when next read.  The dependents come from the submission
-graph's `dependents` index: a dict over the cells that formulas reference
-one by one or through a range of at most 16 cells and, per sheet, the
-larger ranges as rectangles cut into bands on first use.  A lookup costs
-about the size of its answer, and no larger range is expanded.  A
-correction that adds a sheet the submission lacks drops the whole memo,
-because references into that sheet turn from BAD_REF into cell values.
-Cells that can reach a reference cycle of the submission are re-evaluated
-from a fresh memo instead: a cycle's values depend on the cell evaluation
-starts from.  The depth-first walk and evaluation
+graph's `dependents`: a formula cell's are the formula edges reversed;
+any other cell's come from a dict over the cells that formulas reference
+one by one or through a range of at most 16 cells, plus a scan of the
+larger ranges of its sheet, kept as rectangles.  No larger range is
+expanded.  A correction that adds a sheet the submission lacks drops the
+whole memo, because references into that sheet turn from BAD_REF into
+cell values.  Cells that can reach a reference cycle of the submission
+are re-evaluated from a fresh memo instead: a cycle's values depend on
+the cell evaluation starts from.  The depth-first walk and evaluation
 keep explicit stacks, so chains of any length are matched.
 """
 

@@ -220,6 +220,31 @@ def test_integer_too_large_for_a_float_is_a_format_error(workspace, capsys):
     assert "internal error" not in err and "Sheet1!B3" in err
 
 
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_deeply_nested_json_is_a_format_error(workspace, capsys, command):
+    deep = workspace / "deep.json"
+    deep.write_text("[" * 100_000)
+    args = ("check", workspace / "task.json", deep) if command == "check" else ("validate", deep)
+    code, out, err = run(capsys, *args)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: invalid workbook JSON: ") and "internal error" not in err
+
+
+def test_batch_deeply_nested_file_is_a_format_error_row(workspace, capsys, tmp_path):
+    subs = tmp_path / "subs"
+    subs.mkdir()
+    (subs / "a_deep.wb").write_text("[" * 100_000)
+    (subs / "b_good.wb").write_text((workspace / "solution.json").read_text())
+    out_file = tmp_path / "out.jsonl"
+    code, out, _ = run(capsys, "batch", workspace / "task.json", subs, "--out", out_file)
+    assert code == 0
+    assert out.strip().splitlines()[1:] == ["a_deep.wb,error,,", "b_good.wb,pass,0,0"]
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert records[0]["error"].startswith("invalid workbook JSON: ")
+    assert records[1]["report"]["status"] == "pass"
+
+
 def test_validate_clean(workspace, capsys):
     code, out, _ = run(capsys, "validate", workspace / "solution.json")
     assert code == 0

@@ -480,6 +480,13 @@ def test_bundle_reference_with_a_range_over_the_limit_is_config_error():
         load_bundle({"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"B1": "=AVG(A1:CW100)"}}]}})
 
 
+def test_deeply_nested_bundle_file_is_config_error(tmp_path):
+    task = tmp_path / "task.json"
+    task.write_text("[" * 100_000)
+    with pytest.raises(TaskConfigError, match="invalid task bundle JSON"):
+        load_bundle(task)
+
+
 def test_bundle_annotation_text_must_be_text():
     with pytest.raises(TaskConfigError, match="text"):
         load_bundle(

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sheetcheck import (
     FormulaSyntaxError,
@@ -26,11 +27,13 @@ from sheetcheck.formulas import (
     TextLit,
     Unary,
     UnaryOp,
+    cover,
+    disjoint_boxes,
     node_key,
     range_size,
 )
 
-from conftest import addr, make_workbook, texts
+from conftest import addr, examples, make_workbook, texts
 
 
 def ref(text):
@@ -478,6 +481,60 @@ def test_render_long_left_deep_chain(op):
     ast = parse_formula("=" + op.join(terms))
     assert node_key(parse_formula("=" + render_formula(ast))) == node_key(ast)
 
+
+
+# ---------------------------------------------------------------- rectangle arithmetic
+
+_GRID = 6
+_span = st.tuples(st.integers(1, _GRID), st.integers(1, _GRID)).map(sorted)
+_weighted_boxes = st.lists(
+    st.builds(lambda rows, cols, weight: (rows[0], cols[0], rows[1], cols[1], weight), _span, _span, st.integers(-2, 2)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(_weighted_boxes)
+# Equal weights: one box ends on the column, or the row, before another starts.
+@example([(1, 1, 2, 2, 1), (1, 3, 2, 4, 1)])
+@example([(1, 1, 2, 2, 1), (3, 1, 4, 2, 1)])
+# Opposite weights that cancel, and a box of weight zero.
+@example([(1, 1, 3, 3, 2), (2, 2, 2, 2, -2), (1, 1, 1, 6, 0)])
+def test_cover_weighs_each_cell_as_the_sum_of_its_boxes(boxes):
+    bands = cover(boxes)
+    pieces = {}
+    below = 0
+    for top, bottom, band in bands:
+        assert below < top <= bottom and band  # bands ascend and are never empty
+        below = bottom
+        end = 0
+        for left, right, weight in band:
+            assert end < left <= right and weight  # pieces are disjoint, left to right, and weigh something
+            end = right
+            pieces.update(((row, col), weight) for row in range(top, bottom + 1) for col in range(left, right + 1))
+    for row in range(1, _GRID + 1):
+        for col in range(1, _GRID + 1):
+            total = sum(w for top, left, bottom, right, w in boxes if top <= row <= bottom and left <= col <= right)
+            assert pieces.get((row, col), 0) == total, (row, col)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["A", "B"]), _weighted_boxes), min_size=1, max_size=3))
+def test_disjoint_boxes_cover_each_cell_once(groups):
+    boxes = [(sheet, top, left, bottom, right) for sheet, group in groups for top, left, bottom, right, _ in group]
+    covered = {}
+    for sheet, top, left, bottom, right in disjoint_boxes(boxes):
+        for row in range(top, bottom + 1):
+            for col in range(left, right + 1):
+                covered[sheet, row, col] = covered.get((sheet, row, col), 0) + 1
+    expected = {
+        (sheet, row, col)
+        for sheet, top, left, bottom, right in boxes
+        for row in range(top, bottom + 1)
+        for col in range(left, right + 1)
+    }
+    assert covered == dict.fromkeys(expected, 1)
 
 
 # ---------------------------------------------------------------- pinned parser corpus

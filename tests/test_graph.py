@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sheetcheck import (
+    WorkbookAnalysis,
     analyze,
     build_graph,
     column_letters,
@@ -15,6 +16,7 @@ from sheetcheck import (
     longest_chain,
     match_values,
     parse_formula,
+    parse_workbook,
     references_of,
     terminals,
 )
@@ -251,6 +253,12 @@ _sheet_cells = st.dictionaries(_coords.map(_cell_text), st.integers(0, 9) | _for
 @given(st.lists(_sheet_cells, min_size=1, max_size=2))
 # A1 is listed twice through one formula that also has a large range.
 @example([{"A1": "=SUM(A1:A2,C7:A2,A1)"}])
+# A running total: its boxes share the corner A1, on both sides of the listing threshold.
+@example([{**{f"A{i}": i for i in range(1, 31)}, **{f"B{i}": f"=SUM(A$1:A{i})" for i in range(1, 31)}}])
+# A staircase: each box grows by a row and a column from A1.
+@example([{f"J{k}": f"=SUM($A$1:{column_letters(k)}{k})" for k in range(1, 9)}])
+# Two overlapping large ranges of one formula with a listed cell inside both.
+@example([{"J1": "=SUM(A1:E5,C3:G8,D4)", "J2": "=D4+C3", "D4": "=J9"}])
 def test_compact_graph_equals_the_expanded_oracle(sheets):
     analysis = analyze(make_multi_workbook(dict(zip(("Main", "Data"), sheets))))
     graph, oracle = analysis.graph, graph_oracle.build_graph(analysis)
@@ -262,6 +270,8 @@ def test_compact_graph_equals_the_expanded_oracle(sheets):
         for coords in itertools.product(range(1, _COLS + 1), range(1, _ROWS + 1)):
             address = addr(_cell_text(coords), sheet)
             assert graph.dependents(address) == oracle.in_edges.get(address, ())
+    for address in oracle.nodes:  # the fixed examples reach past the drawn grid
+        assert graph.dependents(address) == oracle.in_edges.get(address, ())
     assert graph.nodes == oracle.nodes and graph.out_edges == oracle.out_edges
     assert list(graph.edges()) == list(oracle.edges()) and graph.edge_count == len(list(oracle.edges()))
     assert terminals(graph) == graph_oracle.terminals(oracle)
@@ -272,13 +282,16 @@ def test_compact_graph_equals_the_expanded_oracle(sheets):
 # ---------------------------------------------------------------------------
 
 
-def _metrics_peak(rows, cols):
+def _metrics_peak(cells):
     """Peak bytes allocated while a fresh analysis builds its graph and metrics.
 
     Garbage that earlier tests left is collected first and no collection
-    runs while measuring, so no finalizer of theirs counts here.
+    runs while measuring, so no finalizer of theirs counts here.  The
+    workbook is not evaluated: neither the graph nor the metrics allocate
+    by its values, and evaluating a running total takes quadratic time.
     """
-    analysis = analyze(make_workbook(range_sum_cells(rows, cols, short=True)))
+    workbook = make_workbook(cells)
+    analysis = WorkbookAnalysis(workbook, parse_workbook(workbook)[0], {})
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -291,8 +304,20 @@ def _metrics_peak(rows, cols):
 
 
 def test_graph_and_metrics_memory_does_not_grow_with_range_area():
-    small, large = _metrics_peak(10, 10), _metrics_peak(100, 100)
+    small = _metrics_peak(range_sum_cells(10, 10, short=True))
+    large = _metrics_peak(range_sum_cells(100, 100, short=True))
     assert large <= 2 * small, (small, large)
+
+
+def _running_total_cells(n):
+    """Constants in A1:An and, beside each, the sum of the column so far: B{i} = SUM(A$1:A{i})."""
+    return {**{f"A{i}": i for i in range(1, n + 1)}, **{f"B{i}": f"=SUM(A$1:A{i})" for i in range(1, n + 1)}}
+
+
+def test_graph_and_metrics_memory_of_a_running_total_grows_linearly():
+    # The n boxes overlap in n^2 / 2 cells; no structure may hold a cell or owner per overlap.
+    small, large = _metrics_peak(_running_total_cells(500)), _metrics_peak(_running_total_cells(1_000))
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_only_evaluation_expands_a_submission_range(monkeypatch):
