@@ -12,6 +12,7 @@ too often".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -126,9 +127,13 @@ _USED_TOO_OFTEN = "used too often"
 # --------------------------------------------------------------------------
 
 
-def _operators_and_functions(ast: FormulaAst) -> tuple[Counter, Counter]:
+def _items(ast: FormulaAst) -> tuple[Counter, Counter, list[float], Counter, Counter]:
+    """The operators, function names, numbers, texts and booleans of a canonical form, in one walk."""
     operators: Counter = Counter()
     functions: Counter = Counter()
+    numbers: list[float] = []
+    texts: Counter = Counter()
+    booleans: Counter = Counter()
     for node in walk_ast(ast):
         if isinstance(node, Chain):
             operators[node.op.symbol] += node.size - 1  # as many as its expanded form has
@@ -136,21 +141,13 @@ def _operators_and_functions(ast: FormulaAst) -> tuple[Counter, Counter]:
             operators[node.op.symbol] += 1
         elif isinstance(node, FuncCall):
             functions[node.name] += 1
-    return operators, functions
-
-
-def _constants(ast: FormulaAst) -> tuple[list[float], Counter, Counter]:
-    numbers: list[float] = []
-    texts: Counter = Counter()
-    booleans: Counter = Counter()
-    for node in walk_ast(ast):
-        if isinstance(node, NumberLit):
+        elif isinstance(node, NumberLit):
             numbers.append(node.value)
         elif isinstance(node, TextLit):
             texts[node.text] += 1
         elif isinstance(node, BoolLit):
             booleans[node.value] += 1
-    return numbers, texts, booleans
+    return operators, functions, numbers, texts, booleans
 
 
 def _top_fragment(ast: FormulaAst, sheet: str) -> Fragment:
@@ -166,40 +163,33 @@ def _top_fragment(ast: FormulaAst, sheet: str) -> Fragment:
 
 
 # --------------------------------------------------------------------------
-# Reference grouping: report missing references in the solution's notation
+# Missing references in the solution's notation
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RefGroup:
-    text: str
-    is_range: bool
-    start: CellAddress
-    end: CellAddress
+def _holders(ast: FormulaAst, sheet: str, addresses: list[CellAddress]) -> dict[CellAddress, Fragment]:
+    """Each of the sorted `addresses` mapped to the first reference of `ast` that holds it.
 
-    def contains(self, address: CellAddress) -> bool:
-        sheet, top, left = self.start
-        _, bottom, right = self.end
-        return address.sheet == sheet and top <= address.row <= bottom and left <= address.col <= right
-
-
-def _solution_groups(ast: FormulaAst, sheet: str) -> list[_RefGroup]:
-    groups: list[_RefGroup] = []
+    One walk over the parsed formula: a cell reference is looked up, and a
+    range finds its cells by bisecting `addresses` row by row, unexpanded.
+    """
+    wanted = set(addresses)
+    holders: dict[CellAddress, Fragment] = {}
     for node in walk_ast(ast):
+        if len(holders) == len(wanted):
+            break
         if isinstance(node, CellRef):
-            groups.append(_RefGroup(render_reference(node, sheet), False, node.address, node.address))
+            if node.address in wanted and node.address not in holders:
+                holders[node.address] = Fragment("reference", render_reference(node, sheet))
         elif isinstance(node, RangeRef):
-            groups.append(
-                _RefGroup(render_reference(node, sheet), True, node.start.address, node.end.address)
-            )
-    return groups
-
-
-def _group_for(address: CellAddress, groups: list[_RefGroup]) -> _RefGroup | None:
-    for group in groups:
-        if group.contains(address):
-            return group
-    return None
+            fragment = Fragment("reference", render_reference(node, sheet), is_range=True)
+            ref_sheet, top, left = node.start.address
+            _, bottom, right = node.end.address
+            for row in range(top, bottom + 1):
+                first = bisect_left(addresses, (ref_sheet, row, left))
+                for held in addresses[first : bisect_right(addresses, (ref_sheet, row, right), first)]:
+                    holders.setdefault(held, fragment)
+    return holders
 
 
 # --------------------------------------------------------------------------
@@ -221,16 +211,37 @@ def _render_ref_item(item: RefItem, sheet: str) -> str:
 def _match_numbers(
     solution: list[float], submission: list[float], tolerance: Tolerance
 ) -> tuple[list[float], list[float]]:
+    """Pair each solution number, ascending, with the least unpaired submission number close to it.
+
+    Up to a relative bound of 1/2, a finite number below a value and not
+    close to it is close to no larger value, and the numbers close to a
+    value form a run of the sorted submission, so one merge finds the
+    pairs.  Above 1/2 rounding breaks the first rule, from 1 on a close
+    set can have gaps, and an infinity can be close to every finite
+    number: then each value scans every unpaired number.
+    """
     remaining = sorted(submission)
     missing = []
+    if tolerance.rel > 0.5 or not all(map(math.isfinite, remaining + solution)):
+        for value in sorted(solution):
+            for index, candidate in enumerate(remaining):
+                if tolerance.close(value, candidate):
+                    del remaining[index]
+                    break
+            else:
+                missing.append(value)
+        return missing, remaining
+    surplus = []
+    index = 0
     for value in sorted(solution):
-        for index, candidate in enumerate(remaining):
-            if tolerance.close(value, candidate):
-                del remaining[index]
-                break
+        while index < len(remaining) and remaining[index] < value and not tolerance.close(value, remaining[index]):
+            surplus.append(remaining[index])
+            index += 1
+        if index < len(remaining) and tolerance.close(value, remaining[index]):
+            index += 1
         else:
             missing.append(value)
-    return missing, remaining
+    return missing, surplus + remaining[index:]
 
 
 def diff_formula(
@@ -284,10 +295,10 @@ def diff_formula(
 
     sol_ast = reference.canonical[address]
     sub_ast = submission.canonical[address]
+    sol_ops, sol_funcs, sol_numbers, sol_texts, sol_bools = _items(sol_ast)
+    sub_ops, sub_funcs, sub_numbers, sub_texts, sub_bools = _items(sub_ast)
 
     # Stage 1: operators and surviving function names.
-    sol_ops, sol_funcs = _operators_and_functions(sol_ast)
-    sub_ops, sub_funcs = _operators_and_functions(sub_ast)
     if sol_ops != sub_ops or sol_funcs != sub_funcs:
         category = ErrorCategory.FUNCTION if sol_funcs != sub_funcs else ErrorCategory.OPERATOR
         expected: list[Fragment] = []
@@ -299,9 +310,7 @@ def diff_formula(
         ):
             expected.extend(Fragment(kind, item) for item in missing)
             found.extend(Fragment(kind, item) for item in surplus)
-            extras.extend(
-                ExtraItem(kind, item, _USED_TOO_OFTEN) for item in surplus[len(missing):]
-            )
+            extras.extend(ExtraItem(kind, item, _USED_TOO_OFTEN) for item in surplus[len(missing):])
         return ErrorDetail(address, category, tuple(expected), tuple(found), tuple(extras))
 
     # Stage 2: references with their absoluteness flags, compared as
@@ -310,83 +319,52 @@ def diff_formula(
     if missing or surplus:
         expected = []
         found = [Fragment("reference", _render_ref_item(item, sheet)) for item in surplus]
-        extras = []
 
         # Same address differing only in $-flags: report the flag change.
+        # Both lists are sorted, so each missing item takes the first
+        # unpaired surplus item at its address.
+        partners: dict[CellAddress, list[int]] = {}
+        for index in reversed(range(len(surplus))):
+            partners.setdefault(surplus[index][0], []).append(index)
         flagged: set[int] = set()
         remaining_missing = []
         for item in missing:
-            partner = next(
-                (
-                    index
-                    for index, candidate in enumerate(surplus)
-                    if index not in flagged and candidate[0] == item[0]
-                ),
-                None,
-            )
-            if partner is None:
+            indices = partners.get(item[0])
+            if not indices:
                 remaining_missing.append(item)
                 continue
-            flagged.add(partner)
+            flagged.add(indices.pop())
             hint = "absolute" if (item[1] or item[2]) else "relative"
-            expected.append(
-                Fragment("reference", _render_ref_item(item, sheet), flag_hint=hint)
-            )
+            expected.append(Fragment("reference", _render_ref_item(item, sheet), flag_hint=hint))
 
-        groups = _solution_groups(reference.formulas[address], sheet)
-        seen_groups: set[_RefGroup] = set()
+        # Other missing cells show the solution reference that holds them, once each.
+        holders = _holders(reference.formulas[address], sheet, [item[0] for item in remaining_missing])
+        shown: set[Fragment] = set()
         for item in remaining_missing:
-            group = _group_for(item[0], groups)
-            if group is None:
+            fragment = holders.get(item[0])
+            if fragment is None:
                 expected.append(Fragment("reference", _render_ref_item(item, sheet)))
-            elif group not in seen_groups:
-                seen_groups.add(group)
-                expected.append(Fragment("reference", group.text, is_range=group.is_range))
+            elif fragment not in shown:
+                shown.add(fragment)
+                expected.append(fragment)
         # Surplus refs beyond those paired with a missing ref are "used too often".
-        unpaired = [item for index, item in enumerate(surplus) if index not in flagged]
-        extras = [
-            ExtraItem("reference", _render_ref_item(item, sheet), _USED_TOO_OFTEN)
-            for item in unpaired[len(remaining_missing):]
-        ]
+        unpaired = [item for index, item in enumerate(surplus) if index not in flagged][len(remaining_missing):]
+        extras = [ExtraItem("reference", _render_ref_item(item, sheet), _USED_TOO_OFTEN) for item in unpaired]
         return ErrorDetail(address, ErrorCategory.REFERENCE, tuple(expected), tuple(found), tuple(extras))
 
-    # Stage 3: constants (numbers under tolerance, text exactly).
-    sol_numbers, sol_texts, sol_bools = _constants(sol_ast)
-    sub_numbers, sub_texts, sub_bools = _constants(sub_ast)
-    missing_numbers, surplus_numbers = _match_numbers(sol_numbers, sub_numbers, tolerance)
+    # Stage 3: constants (numbers under tolerance, text exactly), one
+    # (missing, surplus, render) row per kind.
     missing_texts, surplus_texts = _counter_diff(sol_texts, sub_texts)
-    missing_bools, surplus_bools = _counter_diff(sol_bools, sub_bools)
-    if any((missing_numbers, surplus_numbers, missing_texts, surplus_texts, missing_bools, surplus_bools)):
-        expected = (
-            [Fragment("constant", format_number(v)) for v in missing_numbers]
-            + [Fragment("constant", t) for t in missing_texts]
-            + [Fragment("constant", "TRUE" if b else "FALSE") for b in missing_bools]
-        )
-        found = (
-            [Fragment("constant", format_number(v)) for v in surplus_numbers]
-            + [Fragment("constant", t) for t in surplus_texts]
-            + [Fragment("constant", "TRUE" if b else "FALSE") for b in surplus_bools]
-        )
-        extras = []
-        surplus_total = len(surplus_numbers) + len(surplus_texts) + len(surplus_bools)
-        missing_total = len(missing_numbers) + len(missing_texts) + len(missing_bools)
-        if surplus_total > missing_total:
-            extras = [
-                ExtraItem("constant", fragment.text, _USED_TOO_OFTEN)
-                for fragment in found[missing_total:]
-            ]
-        spelling = None
-        for found_text, expected_text in zip(surplus_texts, missing_texts):
-            spelling = spelling_hint(found_text, expected_text)
-            if spelling:
-                break
-        return ErrorDetail(
-            address,
-            ErrorCategory.CONSTANT,
-            tuple(expected),
-            tuple(found),
-            tuple(extras),
-            spelling,
-        )
+    table = (
+        (*_match_numbers(sol_numbers, sub_numbers, tolerance), format_number),
+        (missing_texts, surplus_texts, str),
+        (*_counter_diff(sol_bools, sub_bools), lambda value: "TRUE" if value else "FALSE"),
+    )
+    expected = [Fragment("constant", render(item)) for missing, _, render in table for item in missing]
+    found = [Fragment("constant", render(item)) for _, surplus, render in table for item in surplus]
+    if expected or found:
+        extras = [ExtraItem("constant", fragment.text, _USED_TOO_OFTEN) for fragment in found[len(expected):]]
+        spelling = next(filter(None, map(spelling_hint, surplus_texts, missing_texts)), None)
+        return ErrorDetail(address, ErrorCategory.CONSTANT, tuple(expected), tuple(found), tuple(extras), spelling)
 
     return ErrorDetail(address, ErrorCategory.UNCLASSIFIED)

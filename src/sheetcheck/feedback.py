@@ -74,10 +74,12 @@ class WorkbookAnalysis:
     returns them: sheets in workbook order, row-major within each sheet.
     `grid` is the workbook's evaluation (see `evaluate.evaluate`).
     `canonical` maps each formula cell, in the order of `formulas`, to its
-    canonical form; the graph, metrics and quality checks read formulas
-    only from here.  Those and the graph and metrics are computed on first
-    use.  The reference of a task bundle is analysed once per bundle, a
-    submission once per report; `analyze` builds an analysis.
+    canonical form.  The graph and the metrics read the parsed `formulas`,
+    the duplicate check reads `canonical`, and the idiom check and the
+    formula diff read both.  The canonical forms, graph and metrics are
+    computed on first use.  The reference of a task bundle is analysed
+    once per bundle, a submission once per report; `analyze` builds an
+    analysis.
     """
 
     def __init__(

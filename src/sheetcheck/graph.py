@@ -212,9 +212,10 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     The references come from the analysis's parsed formulas; references to
     absent cells and to nonexistent sheets count too.  Several references,
     one over `_LISTED_AREA` cells, are cut into disjoint boxes first.  The
-    formula cells inside a range are found by looking up each of its cells
-    or by scanning the formula cells in its rows, whichever are fewer, and
-    only a box of at most `_LISTED_AREA` cells is listed cell by cell.
+    formula cells inside a larger box are found by scanning the formula
+    cells in its rows, or those in its columns, or by looking up each of
+    its cells, whichever are fewer, and only a box of at most
+    `_LISTED_AREA` cells is listed cell by cell.
     """
     formulas = analysis.formulas
     cells = row_major(formulas)
@@ -223,6 +224,8 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     precedents: dict[CellAddress, tuple[CellAddress, ...]] = {}
     listed: dict[tuple, list[CellAddress]] = {}
     ranges: dict[str, list[tuple[int, int, int, int, CellAddress]]] = {}
+    by_column: list[CellAddress] | None = None  # the formula cells column-major
+    column_major = itemgetter(0, 2, 1)
     for cell in cells:
         boxes = reference_boxes(formulas[cell])
         if len(boxes) > 1 and any(
@@ -242,13 +245,19 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
                 continue
             span += area
             ranges.setdefault(sheet, []).append((top, left, bottom, right, cell))
+            if by_column is None:  # sorted once, when the first larger box appears
+                by_column = sorted(cells, key=column_major)
             first = bisect_left(cells, (sheet, top, left))
             last = bisect_right(cells, (sheet, bottom, right))
-            if last - first <= area:
-                found += [target for target in cells[first:last] if left <= target[2] <= right]
-            else:
+            col_first = bisect_left(by_column, (sheet, left, top), key=column_major)
+            col_last = bisect_right(by_column, (sheet, right, bottom), key=column_major)
+            if min(last - first, col_last - col_first) > area:  # a dense sheet: look up each member
                 members = ((sheet, row, col) for row in range(top, bottom + 1) for col in range(left, right + 1))
                 found += filter(None, map(own.get, members))
+            elif last - first <= col_last - col_first:
+                found += [target for target in cells[first:last] if left <= target[2] <= right]
+            else:
+                found += [target for target in by_column[col_first:col_last] if top <= target[1] <= bottom]
         if not span:
             targets = dict.fromkeys(targets)  # small boxes may overlap
         for target in targets:

@@ -28,9 +28,10 @@ keep explicit stacks, so chains of any length are matched.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
@@ -62,52 +63,24 @@ class TraceEntry(NamedTuple):
 _FIELDS = len(TraceEntry._fields)
 
 
-class MatchTrace(Sequence[TraceEntry]):
-    """The match trace: a read-only sequence of TraceEntry in walk order.
-
-    It keeps the entries' fields in one flat list and builds an entry only
-    when it is read, so an unread trace costs the collector two objects.
-    It equals a tuple of equal entries, from either side, and hashes as one.
-    """
-
-    __slots__ = ("_flat",)
-
-    def __init__(self, flat: list[Any]) -> None:
-        self._flat = flat  # the fields of entry i are flat[5 * i : 5 * i + 5]
-
-    def __len__(self) -> int:
-        return len(self._flat) // _FIELDS
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        start = range(len(self))[index] * _FIELDS  # checks and wraps the index
-        return TraceEntry._make(self._flat[start : start + _FIELDS])
-
-    def __iter__(self):
-        fields = iter(self._flat)
-        return map(TraceEntry._make, zip(*[fields] * _FIELDS))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (MatchTrace, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"MatchTrace({tuple(self)!r})"
-
-
 @dataclass(frozen=True)
 class MatchResult:
-    """The diagnoses; `replacements` maps each corrected cell to the reference value it took."""
+    """The diagnoses; `replacements` maps each corrected cell to the reference value it took.
+
+    `trace_fields` lists the fields of the trace's entries in walk order,
+    five per entry, and `trace` builds the tuple of TraceEntry from them
+    when first read, so an unread trace costs the collector one list.
+    """
 
     value_errors: tuple[CellAddress, ...]
     formula_errors: tuple[CellAddress, ...]
     replacements: Mapping[CellAddress, Value]
-    trace: Sequence[TraceEntry]
+    trace_fields: list[Any] = field(repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        fields = iter(self.trace_fields)
+        return tuple(map(TraceEntry._make, zip(*[fields] * _FIELDS)))
 
 
 def match_values(
@@ -143,7 +116,7 @@ def match_values(
     value_errors: list[CellAddress] = []
     formula_errors: list[CellAddress] = []
     replacements: dict[CellAddress, Value] = {}
-    trace: list[Any] = []  # TraceEntry fields, flat; see MatchTrace
+    trace: list[Any] = []  # TraceEntry fields, flat; see MatchResult
     FIRST, AGAIN = ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
     def re_evaluate(address: CellAddress, solution: Value, first: Value, first_ok: bool) -> None:
@@ -210,6 +183,6 @@ def match_values(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
         replacements=replacements,
-        trace=MatchTrace(trace),
+        trace_fields=trace,
     )
 

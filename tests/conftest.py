@@ -55,6 +55,24 @@ def python_calls(function, *args):
     return result, calls
 
 
+def module_lines(module, function, *args):
+    """`function(*args)` and the number of lines run in frames of `module`'s own file, loop iterations included."""
+    lines = 0
+    source = module.__file__
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == source else None)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(None)
+    return result, lines
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Counter of the (source, sheet) pairs parse_formula is called with.

@@ -105,7 +105,7 @@ def match_values(reference, submission, tolerance=DEFAULT_TOLERANCE, graded=None
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
         replacements=replacements,
-        trace=tuple(trace),
+        trace_fields=[field for entry in trace for field in entry],
     )
 
 

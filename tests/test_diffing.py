@@ -1,10 +1,31 @@
-from hypothesis import given, strategies as st
+import math
+import random
 
-from sheetcheck import ErrorCategory, analyze, diff_formula, levenshtein, spelling_hint
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+import diff_oracle
+from genwb import WorkbookGen
+from sheetcheck import (
+    DEFAULT_TOLERANCE,
+    CellAddress,
+    ErrorCategory,
+    Tolerance,
+    WorkbookAnalysis,
+    analyze,
+    diff_formula,
+    levenshtein,
+    parse_formula,
+    parse_workbook,
+    render_formula,
+    spelling_hint,
+)
+from sheetcheck import diffing
 from sheetcheck.diffing import spelling_threshold
+from sheetcheck.formulas import Binary, BoolLit, CellRef, FuncCall, NumberLit, RangeRef, TextLit, Unary, walk_ast
 from sheetcheck.grid import Formula, Number, Sheet, Text, Workbook
 
-from conftest import addr
+from conftest import addr, examples, make_workbook, module_lines
 
 
 def cell_content(content):
@@ -162,6 +183,13 @@ def test_relative_hint_when_solution_is_relative():
     assert detail.expected[0].text == "B3"
 
 
+def test_flag_change_pairs_with_the_first_surplus_reference_at_its_address():
+    detail = diff("=MIN(A1)", "=MIN($A1,$A$1,B1)")
+    assert [(f.text, f.flag_hint) for f in detail.expected] == [("A1", "relative")]
+    assert [f.text for f in detail.found] == ["$A1", "$A$1", "B1"]
+    assert [(e.name, e.message) for e in detail.extras] == [("$A$1", "used too often"), ("B1", "used too often")]
+
+
 # ---------------------------------------------------------------- stage 3: constants
 
 
@@ -176,6 +204,13 @@ def test_constant_text_spelling():
     detail = diff('=IF(A1>1,"Total","x")', '=IF(A1>1,"Totel","x")')
     assert detail.category is ErrorCategory.CONSTANT
     assert detail.spelling == ("Totel", "Total")
+
+
+def test_surplus_constants_are_used_too_often():
+    detail = diff("=MIN(A1,2)", "=MIN(A1,3,4)")
+    assert [f.text for f in detail.expected] == ["2"]
+    assert [f.text for f in detail.found] == ["3", "4"]
+    assert [(e.kind, e.name, e.message) for e in detail.extras] == [("constant", "4", "used too often")]
 
 
 def test_constants_match_under_tolerance():
@@ -283,3 +318,152 @@ def test_randomized_reference_repair_identifies_the_swap():
             ), detail
         checked += 1
     assert checked == 40
+
+
+# ---------------------------------------------------------------- the oracle
+
+
+def _edited_reference(rng, ref, refs):
+    """`ref` with its `$` flags flipped, shifted, resized, moved to sheet Data, or swapped for another of `refs`."""
+    kind = rng.choice(["flags", "shift", "resize", "sheet", "repeat"])
+    if kind == "repeat":
+        return rng.choice(refs)
+    start, end = (ref.start, ref.end) if isinstance(ref, RangeRef) else (ref, ref)
+    sheet, top, left = start.address
+    _, bottom, right = end.address
+    flags, end_flags = (start.col_absolute, start.row_absolute), (end.col_absolute, end.row_absolute)
+    if kind == "flags":
+        flags = (rng.random() < 0.5, rng.random() < 0.5)
+        end_flags = flags if rng.random() < 0.7 else (rng.random() < 0.5, rng.random() < 0.5)
+    elif kind == "shift":
+        rows, cols = max(rng.randint(-1, 1), 1 - top), max(rng.randint(-1, 1), 1 - left)
+        top, bottom, left, right = top + rows, bottom + rows, left + cols, right + cols
+    elif kind == "resize":
+        bottom, right = max(top, bottom + rng.randint(-1, 2)), max(left, right + rng.randint(-1, 1))
+    else:
+        sheet = "Data"
+    first = CellRef(CellAddress(sheet, left, top), *flags)
+    if isinstance(ref, CellRef) and (top, left) == (bottom, right):
+        return first
+    return RangeRef(first, CellRef(CellAddress(sheet, right, bottom), *end_flags))
+
+
+def _edited_constant(rng, literal):
+    return rng.choice(
+        [
+            NumberLit(getattr(literal, "value", 0.0) + rng.randint(1, 3)),
+            NumberLit(getattr(literal, "value", 1.0) * (1 + 1e-12)),
+            NumberLit(getattr(literal, "value", 1.0) * 1.4),
+            TextLit(rng.choice(["Total", "Totel", "Tot", "x", ""])),
+            BoolLit(rng.random() < 0.5),
+        ]
+    )
+
+
+def _edited(rng, ast, refs):
+    """`ast` with some of its references and constants edited; operators and functions are kept."""
+    if isinstance(ast, (CellRef, RangeRef)):
+        return _edited_reference(rng, ast, refs) if rng.random() < 0.5 else ast
+    if isinstance(ast, (NumberLit, TextLit, BoolLit)):
+        return _edited_constant(rng, ast) if rng.random() < 0.5 else ast
+    if isinstance(ast, Unary):
+        return Unary(ast.op, _edited(rng, ast.operand, refs))
+    if isinstance(ast, Binary):
+        return Binary(ast.op, _edited(rng, ast.left, refs), _edited(rng, ast.right, refs))
+    if isinstance(ast, FuncCall):
+        args = tuple(_edited(rng, arg, refs) for arg in ast.args)
+        if ast.name in ("MIN", "MAX") and rng.random() < 0.3:  # one more argument, so one side has surplus items
+            args += (rng.choice([*refs, NumberLit(float(rng.randint(0, 9)))]),)
+        return FuncCall(ast.name, args)
+    return ast
+
+
+def _edited_workbook(rng, base):
+    """`base` with its formulas edited, and a second sheet."""
+    cells = {}
+    for address, content in base.sheets[0].cells.items():
+        if isinstance(content, Formula) and rng.random() < 0.7:
+            ast = parse_formula(content.source, "Sheet1")
+            refs = [node for node in walk_ast(ast) if isinstance(node, (CellRef, RangeRef))]
+            content = Formula("=" + render_formula(_edited(rng, ast, refs), "Sheet1"))
+        cells[address] = content
+    return Workbook(base.name, (Sheet("Sheet1", cells), Sheet("Data", {addr("A1", "Data"): Number(2.0)})))
+
+
+def _unevaluated(workbook):
+    """An analysis of `workbook` without its grid, its canonical forms built; None on a syntax error."""
+    formulas, report = parse_workbook(workbook)
+    if not report.ok:
+        return None
+    analysis = WorkbookAnalysis(workbook, formulas, {})
+    analysis.canonical  # noqa: B018 - built before a count of the diff's own work
+    return analysis
+
+
+_TOLERANCES = [DEFAULT_TOLERANCE, Tolerance(abs=0.5, rel=0.0), *(Tolerance(rel=rel) for rel in (0.5, 0.9, 1.0, 1.5))]
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(_TOLERANCES))
+def test_diff_formula_equals_the_oracle(seed, tolerance):
+    # Both sides are edits of one edited ancestor, so texts and flags can differ on both.
+    rng = random.Random(seed)
+    ancestor = _edited_workbook(rng, WorkbookGen(rng).workbook())
+    reference, submission = (_unevaluated(_edited_workbook(rng, ancestor)) for _ in range(2))
+    assume(reference is not None and submission is not None)
+    for address in reference.formulas:
+        expected = diff_oracle.diff_formula(reference, submission, address, tolerance)
+        assert diff_formula(reference, submission, address, tolerance) == expected
+
+
+_NUMBERS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5.0, -0.3, 0.5, 1e-9, math.inf]) | st.floats(-1e6, 1e6) | st.floats(
+    allow_nan=False
+)
+_NUMBER_TOLERANCES = st.builds(Tolerance, abs=st.floats(0, 10), rel=st.just(0.0)) | st.builds(
+    Tolerance,
+    abs=st.sampled_from([0.0, 1e-9]),
+    rel=st.floats(0, 0.5) | st.sampled_from([0.5, 0.9, 1.0, 1.2, 1.5]),
+)
+
+
+@settings(max_examples=examples(100))
+@given(st.lists(_NUMBERS, max_size=10), st.lists(_NUMBERS, max_size=10), _NUMBER_TOLERANCES)
+# With rel 1.2, -0.3 is not close to 1 but close to 5: the close numbers have a gap.
+@example([1.0, 5.0], [-0.3, 0.9], Tolerance(abs=0.0, rel=1.2))
+# With rel 0.9 rounding makes 0.0204... close to the float above 0.2040... but not to 0.2040... itself.
+@example([0.20404874605326703, 0.20404874605326706], [0.02040487460532668], Tolerance(abs=1e-300, rel=0.9))
+def test_number_matching_equals_the_scan(solution, submission, tolerance):
+    pairs = diffing._match_numbers(solution, submission, tolerance)
+    expected = diff_oracle._match_numbers(solution, submission, tolerance)
+    assert [list(map(repr, side)) for side in pairs] == [list(map(repr, side)) for side in expected]
+
+
+# ---------------------------------------------------------------- work per formula
+
+
+_N = 1_000
+_SHAPES = {
+    "a range against its flagged shift": ({"B1": f"=SUM($A$1:$A${_N - 1})"}, {"B1": f"=SUM(A2:A{_N})"}),
+    "two-cell ranges on another column": (
+        {"B1": "=SUM(" + ",".join(f"C{i}:C{i + 1}" for i in range(1, _N, 2)) + ")"},
+        {"B1": "=SUM(" + ",".join(f"A{i}:A{i + 1}" for i in range(1, _N, 2)) + ")"},
+    ),
+    "cells against their flagged shift": (
+        {"B1": "=" + "+".join(f"A{i}" for i in range(1, _N + 1))},
+        {"B1": "=" + "+".join(f"$A${i}" for i in range(2, _N + 2))},
+    ),
+    "constants that all differ": (
+        {"B1": "=" + "+".join(str(i) for i in range(1, _N + 1))},
+        {"B1": "=" + "+".join(f"{i}.5" for i in range(1, _N + 1))},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_diff_formula_runs_linearly_many_lines(shape):
+    # Flag pairs, holding references and constants are each found through an index or a
+    # merge; a search per missing item runs hundreds of lines per item here.
+    reference, submission = (_unevaluated(make_workbook(cells)) for cells in _SHAPES[shape])
+    detail, lines = module_lines(diffing, diff_formula, reference, submission, addr("B1"))
+    assert len(detail.expected) >= _N // 2
+    assert lines <= 40 * _N, lines

@@ -21,7 +21,16 @@ from sheetcheck import (
     terminals,
 )
 import graph_oracle
-from conftest import addr, examples, fill_down_cells, make_multi_workbook, make_workbook, range_sum_cells, texts
+from conftest import (
+    addr,
+    examples,
+    fill_down_cells,
+    make_multi_workbook,
+    make_workbook,
+    module_lines,
+    range_sum_cells,
+    texts,
+)
 
 
 def graph_of(cells):
@@ -259,6 +268,10 @@ _sheet_cells = st.dictionaries(_coords.map(_cell_text), st.integers(0, 9) | _for
 @example([{f"J{k}": f"=SUM($A$1:{column_letters(k)}{k})" for k in range(1, 9)}])
 # Two overlapping large ranges of one formula with a listed cell inside both.
 @example([{"J1": "=SUM(A1:E5,C3:G8,D4)", "J2": "=D4+C3", "D4": "=J9"}])
+# Formulas fill the rows and the columns of an 18-cell range, so the graph looks up each of its cells.
+@example([{f"{column_letters(col)}{row}": "=SUM(A1:C6)" for row in range(1, 9) for col in range(1, 7)}])
+# The range's columns hold fewer formulas than its rows, two of them below it in its first column.
+@example([{**{f"D{row}": "=1" for row in range(1, 18)}, "B18": "=2", "B19": "=3", "J1": "=SUM(B1:C17)"}])
 def test_compact_graph_equals_the_expanded_oracle(sheets):
     analysis = analyze(make_multi_workbook(dict(zip(("Main", "Data"), sheets))))
     graph, oracle = analysis.graph, graph_oracle.build_graph(analysis)
@@ -318,6 +331,33 @@ def test_graph_and_metrics_memory_of_a_running_total_grows_linearly():
     # The n boxes overlap in n^2 / 2 cells; no structure may hold a cell or owner per overlap.
     small, large = _metrics_peak(_running_total_cells(500)), _metrics_peak(_running_total_cells(1_000))
     assert large <= 2.5 * small, (small, large)
+
+
+def test_graph_and_metrics_of_a_running_total_run_linearly_many_lines():
+    # Each range finds the formula cells it holds in the shorter of the slices over its rows
+    # and over its columns: here its own column, which holds none.  A scan of its rows runs
+    # once per formula above it.
+    n = 1_000
+    workbook = make_workbook(_running_total_cells(n))
+    analysis = WorkbookAnalysis(workbook, parse_workbook(workbook)[0], {})
+    _, lines = module_lines(importlib.import_module("sheetcheck.graph"), compute_metrics, analysis)
+    assert lines <= 60 * n, lines
+
+
+def test_a_dense_block_of_window_sums_looks_up_each_cell_of_its_ranges():
+    # Each 25-cell window has 35 or more formula cells in its rows and in its columns, so
+    # looking up its cells costs less than scanning either slice.
+    cells = {
+        f"{column_letters(col)}{row}": 1
+        if row <= 5 or col <= 5
+        else f"=SUM({column_letters(col - 5)}{row - 5}:{column_letters(col - 1)}{row - 1})"
+        for row in range(1, 41)
+        for col in range(1, 41)
+    }
+    workbook = make_workbook(cells)
+    analysis = WorkbookAnalysis(workbook, parse_workbook(workbook)[0], {})
+    _, lines = module_lines(importlib.import_module("sheetcheck.graph"), build_graph, analysis)
+    assert lines <= 80 * len(analysis.formulas), lines
 
 
 def test_only_evaluation_expands_a_submission_range(monkeypatch):
