@@ -45,6 +45,7 @@ from .grid import (
 )
 from .matching import MatchResult, match_values
 from .quality import (
+    COMPARED_METRICS,
     DuplicateCalculation,
     IdiomSuggestion,
     QualityConfig,
@@ -223,6 +224,13 @@ def _section(doc: Mapping[str, Any], key: str, kind: type, name: str) -> Any:
     return value
 
 
+def _known_keys(doc: Mapping[str, Any], known: Sequence[str], prefix: str = "") -> None:
+    """A TaskConfigError that names the first key of `doc` not in `known`, after `prefix`."""
+    unknown = sorted(map(str, set(doc).difference(known)))
+    if unknown:
+        raise TaskConfigError(f"unknown task bundle field {prefix + unknown[0]!r}")
+
+
 def _number(
     doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float, least: int | None = None
 ) -> Any:
@@ -256,9 +264,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
 
     if not isinstance(doc, dict):
         raise TaskConfigError("task bundle must be an object")
-    unknown = set(doc) - {"task", "reference", "tolerance", "graded_cells", "annotations", "materials", "quality"}
-    if unknown:
-        raise TaskConfigError(f"unknown task bundle field {sorted(unknown)[0]!r}")
+    _known_keys(doc, ("task", "reference", "tolerance", "graded_cells", "annotations", "materials", "quality"))
     if "task" not in doc or "reference" not in doc:
         raise TaskConfigError("task bundle needs 'task' and 'reference' fields")
 
@@ -270,6 +276,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     default_sheet = reference.sheets[0].name if reference.sheets else "Sheet1"
 
     tolerance_doc = _section(doc, "tolerance", dict, "tolerance") or {}
+    _known_keys(tolerance_doc, ("abs", "rel"), "tolerance.")
     tolerance = Tolerance(
         abs=_number(tolerance_doc, "abs", DEFAULT_TOLERANCE.abs, "tolerance.abs", least=0),
         rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel", least=0),
@@ -291,6 +298,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     for entry in _section(doc, "annotations", list, "annotations") or ():
         if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("range", "text")):
             raise TaskConfigError(f"annotation needs text 'range' and 'text' fields: {entry!r}")
+        _known_keys(entry, ("range", "text", "link"), "annotations.")
         start, end = _parse_range(entry["range"], default_sheet)
         annotations.append(Annotation(start, end, entry["text"], entry.get("link")))
 
@@ -298,18 +306,22 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     for entry in _section(doc, "materials", list, "materials") or ():
         if not isinstance(entry, dict) or "title" not in entry:
             raise TaskConfigError(f"material needs a 'title' field: {entry!r}")
+        _known_keys(entry, ("title", "keywords", "ref"), "materials.")
         keywords = _normalize_keywords(_section(entry, "keywords", list, "materials.keywords") or ())
         if not keywords:
             raise TaskConfigError(f"material {entry.get('title')!r} has no usable keywords")
         materials.append(MaterialEntry(entry["title"], keywords, entry.get("ref")))
 
     quality_doc = _section(doc, "quality", dict, "quality") or {}
+    _known_keys(quality_doc, ("factor", "offset", "min_idiom_operands", "overrides"), "quality.")
     factor = _number(quality_doc, "factor", 1.5, "quality.factor", least=1)
     offset = _number(quality_doc, "offset", 1.0, "quality.offset", least=0)
     overrides_doc = _section(quality_doc, "overrides", dict, "quality.overrides") or {}
+    _known_keys(overrides_doc, COMPARED_METRICS, "quality.overrides.")
     overrides = {}
     for metric in overrides_doc:
         values = _section(overrides_doc, metric, dict, f"quality.overrides.{metric}") or {}
+        _known_keys(values, ("factor", "offset"), f"quality.overrides.{metric}.")
         overrides[metric] = (
             _number(values, "factor", factor, f"quality.overrides.{metric}.factor"),
             _number(values, "offset", offset, f"quality.overrides.{metric}.offset"),
@@ -676,25 +688,12 @@ def render_text(report: FeedbackReport) -> str:
 
 
 def metrics_doc(metrics: QualityMetrics, qualify: bool) -> dict[str, Any]:
-    def fan(value: tuple[CellAddress, int] | None) -> dict[str, Any] | None:
-        if value is None:
-            return None
-        return {"cell": value[0].text(qualified=qualify), "count": value[1]}
+    """The metrics as an object, one key per field in field order, as a dataclass's `vars` lists them."""
 
-    return {
-        "sheet_count": metrics.sheet_count,
-        "error_value_count": metrics.error_value_count,
-        "value_cell_count": metrics.value_cell_count,
-        "formula_cell_count": metrics.formula_cell_count,
-        "input_count": metrics.input_count,
-        "output_count": metrics.output_count,
-        "max_fan_in": fan(metrics.max_fan_in),
-        "max_fan_out": fan(metrics.max_fan_out),
-        "operator_total": metrics.operator_total,
-        "operand_total": metrics.operand_total,
-        "max_nesting_depth": metrics.max_nesting_depth,
-        "longest_chain": metrics.longest_chain,
-    }
+    def fan(value: tuple[CellAddress, int] | None) -> dict[str, Any] | None:
+        return {"cell": value[0].text(qualified=qualify), "count": value[1]} if value else None
+
+    return {name: value if isinstance(value, int) else fan(value) for name, value in vars(metrics).items()}
 
 
 def _finding_doc(finding: QualityFinding, qualify: bool) -> dict[str, Any]:

@@ -722,14 +722,10 @@ def disjoint_boxes(boxes: Iterable[_Box]) -> list[_Box]:
     ]
 
 
-def union_area(boxes: Iterable[_Box]) -> int:
-    """How many distinct cells the boxes cover."""
-    return sum((bottom - top + 1) * (right - left + 1) for _, top, left, bottom, right in disjoint_boxes(boxes))
-
-
 def distinct_cells(refs: Iterable[CellRef | RangeRef]) -> int:
     """How many distinct cells the references cover, flags aside."""
-    return union_area([_box(ref) for ref in refs])
+    boxes = disjoint_boxes([_box(ref) for ref in refs])
+    return sum((bottom - top + 1) * (right - left + 1) for _, top, left, bottom, right in boxes)
 
 
 RefItem = tuple[CellAddress, bool, bool]

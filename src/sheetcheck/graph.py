@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .evaluate import BAD_REF
-from .formulas import Bands, FormulaAst, cover, disjoint_boxes, reference_boxes, references_of
+from .formulas import FormulaAst, cover, disjoint_boxes, reference_boxes, references_of
 from .grid import BLANK, CellAddress, Number, Workbook, format_value, row_major
 
 if TYPE_CHECKING:
@@ -126,27 +126,25 @@ class DependencyGraph:
     def _fan_in(self) -> tuple[int, tuple[CellAddress, int] | None]:
         """(distinct referenced cells, the largest in-degree with the first cell row-major that has it).
 
-        A cell's in-degree counts its `listed` formula cells and the larger boxes that hold it.
+        A cell's in-degree counts its `listed` formula cells and the larger
+        boxes that hold it.  A sheet without larger boxes counts its listed
+        cells one by one.  On any other sheet one `cover` cuts the larger
+        boxes, each of weight 1, and the listed cells, each a one-cell box
+        weighted by its formula cells, into pieces of one in-degree.
         """
-        cells = self.listed
-        bands = {sheet: cover([(*box[:4], 1) for box in boxes]) for sheet, boxes in self.ranges.items()}
-        distinct = len(cells)
-        degrees = dict(zip(cells, map(len, cells.values())))
-        if bands:
-            for target in cells:
-                sheet_bands = bands.get(target[0])
-                weight = _weight_at(sheet_bands, target[1], target[2]) if sheet_bands else 0
-                if weight:
-                    degrees[target] += weight
-                    distinct -= 1  # counted with the range pieces below
-        # Every cell of a piece has at least the piece's degree, so its
-        # first cell stands for the piece.
-        for sheet, sheet_bands in bands.items():
-            for top, bottom, pieces in sheet_bands:
+        boxes = {sheet: [(*box[:4], 1) for box in sheet_boxes] for sheet, sheet_boxes in self.ranges.items()}
+        degrees: dict[tuple, int] = {}
+        for (sheet, row, col), users in self.listed.items():
+            if sheet in boxes:
+                boxes[sheet].append((row, col, row, col, len(users)))
+            else:
+                degrees[sheet, row, col] = len(users)
+        distinct = len(degrees)
+        for sheet, sheet_boxes in boxes.items():
+            for top, bottom, pieces in cover(sheet_boxes):
                 for left, right, weight in pieces:
                     distinct += (bottom - top + 1) * (right - left + 1)
-                    first = (sheet, top, left)
-                    degrees[first] = max(degrees.get(first, 0), weight)
+                    degrees[sheet, top, left] = weight  # the piece's first cell stands for the piece
         if not degrees:
             return distinct, ((self.formula_cells[0], 0) if self.formula_cells else None)
         most = max(degrees.values())
@@ -193,17 +191,6 @@ class DependencyGraph:
     def _terminals(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
         """(outputs, inputs), computed once per graph; see `terminals`."""
         return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
-
-
-def _weight_at(bands: Bands, row: int, col: int) -> int:
-    """The weight of the piece of `bands` that holds the cell at (row, col), or 0."""
-    index = bisect_right(bands, row, key=itemgetter(0)) - 1
-    if index >= 0 and row <= bands[index][1]:
-        pieces = bands[index][2]
-        index = bisect_right(pieces, col, key=itemgetter(0)) - 1
-        if index >= 0 and col <= pieces[index][1]:
-            return pieces[index][2]
-    return 0
 
 
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:

@@ -10,7 +10,7 @@ per-metric overrides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
 from .formulas import (
@@ -58,18 +58,8 @@ class QualityMetrics:
     longest_chain: int = 0
 
 
-COMPARED_METRICS = (
-    "sheet_count",
-    "error_value_count",
-    "value_cell_count",
-    "formula_cell_count",
-    "input_count",
-    "output_count",
-    "operator_total",
-    "operand_total",
-    "max_nesting_depth",
-    "longest_chain",
-)
+# The count fields, in field order: the metrics a submission is compared on.
+COMPARED_METRICS = tuple(item.name for item in fields(QualityMetrics) if item.type == "int")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheetcheck import (
+    CellAddress,
     DiagnosisKind,
     Fragment,
     IdiomSuggestion,
@@ -19,13 +21,19 @@ from sheetcheck import (
     header_context,
     load_bundle,
     lookup_annotations,
+    parse_address,
+    parse_formula,
     read_workbook,
+    render_formula,
     render_json,
     render_text,
     write_workbook,
 )
+from sheetcheck.feedback import _METRIC_LABELS
+from sheetcheck.formulas import Binary, CellRef, FuncCall, RangeRef, Unary
+from sheetcheck.quality import COMPARED_METRICS
 
-from conftest import addr, fill_down_cells, make_workbook, python_calls, range_sum_cells
+from conftest import addr, examples, fill_down_cells, make_workbook, python_calls, range_sum_cells
 from genwb import WorkbookGen, mutate_one_formula
 
 
@@ -246,6 +254,10 @@ def test_metric_exceeded_message_on_pass():
     report = generate_feedback(bundle, submission, 7)
     assert report.status is Status.PASS
     assert any("number of operators" in m and "exceeds" in m for m in report.messages)
+
+
+def test_metric_labels_name_exactly_the_compared_metrics_in_order():
+    assert tuple(_METRIC_LABELS) == COMPARED_METRICS
 
 
 def test_machine_message_consistency(grades):
@@ -549,6 +561,40 @@ def test_bundle_threshold_out_of_range_is_config_error(field, value, name):
         load_bundle(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("tolerance", {"absolute": 0.01}, "tolerance.absolute"),
+        ("quality", {"factors": 2}, "quality.factors"),
+        ("quality", {"overrides": {"operand_totl": {"factor": 2}}}, "quality.overrides.operand_totl"),
+        ("quality", {"overrides": {"max_fan_in": {"factor": 2}}}, "quality.overrides.max_fan_in"),
+        ("quality", {"overrides": {"operand_total": {"offest": 2}}}, "quality.overrides.operand_total.offest"),
+        ("annotations", [{"range": "A1", "text": "x", "url": "u"}], "annotations.url"),
+        ("materials", [{"title": "m", "keywords": ["k"], "link": "l"}], "materials.link"),
+    ],
+)
+def test_bundle_unknown_nested_field_is_config_error(field, value, name):
+    doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
+    with pytest.raises(TaskConfigError, match=f"unknown task bundle field '{re.escape(name)}'"):
+        load_bundle(doc)
+
+
+def test_dumped_bundle_with_every_nested_field_loads():
+    doc = {
+        "task": "t",
+        "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]},
+        "tolerance": {"abs": 0.01, "rel": 0.001},
+        "graded_cells": ["A1"],
+        "annotations": [{"range": "A1", "text": "x", "link": "https://example.org"}],
+        "materials": [{"title": "m", "keywords": ["k"], "ref": "ch. 2"}],
+        "quality": {"factor": 2, "offset": 0, "min_idiom_operands": 4, "overrides": {"operand_total": {"factor": 3}}},
+    }
+    dumped = dump_bundle(load_bundle(doc))
+    reloaded = load_bundle(json.loads(dumped))
+    assert reloaded.quality.overrides == {"operand_total": (3.0, 0.0)}
+    assert dump_bundle(reloaded) == dumped
+
+
 def test_integration_extras_and_spelling_hints():
     reference = make_workbook(
         {
@@ -730,3 +776,46 @@ def test_constants_at_unused_addresses_keep_the_diagnoses(case, padding):
     plain = _report(reference, submission, level)
     assert padded.status is plain.status
     assert [(d.cell, d.kind) for d in padded.diagnoses] == [(d.cell, d.kind) for d in plain.diagnoses]
+
+
+def _moved(node, dr, dc):
+    """A parsed formula with every reference moved by `dr` rows and `dc` columns, `$` flags kept."""
+    if isinstance(node, CellRef):
+        return replace(node, address=CellAddress(node.address.sheet, node.address.col + dc, node.address.row + dr))
+    if isinstance(node, RangeRef):
+        return RangeRef(_moved(node.start, dr, dc), _moved(node.end, dr, dc))
+    if isinstance(node, Unary):
+        return Unary(node.op, _moved(node.operand, dr, dc))
+    if isinstance(node, Binary):
+        return Binary(node.op, _moved(node.left, dr, dc), _moved(node.right, dr, dc))
+    if isinstance(node, FuncCall):
+        return FuncCall(node.name, tuple(_moved(arg, dr, dc) for arg in node.args))
+    return node  # a literal
+
+
+def _translated(workbook, dr, dc):
+    """The workbook with every cell moved by `dr` rows and `dc` columns and each reference moved with it."""
+    doc = json.loads(write_workbook(workbook))
+    for sheet in doc["sheets"]:
+        cells = {}
+        for text, raw in sheet["cells"].items():
+            address = parse_address(text, sheet["name"])
+            if isinstance(raw, str) and raw.startswith("="):
+                raw = "=" + render_formula(_moved(parse_formula(raw, sheet["name"]), dr, dc), sheet["name"])
+            cells[CellAddress(address.sheet, address.col + dc, address.row + dr).text()] = raw
+        sheet["cells"] = cells
+    return read_workbook(json.dumps(doc))
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(_generated_cases(), st.integers(0, 40), st.integers(0, 30))
+def test_translating_both_workbooks_moves_the_diagnoses(case, dr, dc):
+    # genwb fills columns A-H and the reference adds J1, so dc up to 30 moves cells past column Z
+    reference, submission, level = case
+    moved = _report(_translated(reference, dr, dc), _translated(submission, dr, dc), level)
+    plain = _report(reference, submission, level)
+    assert moved.status is plain.status
+    assert [(d.cell, d.kind, d.detail and d.detail.category) for d in moved.diagnoses] == [
+        (CellAddress(d.cell.sheet, d.cell.col + dc, d.cell.row + dr), d.kind, d.detail and d.detail.category)
+        for d in plain.diagnoses
+    ]

@@ -272,6 +272,12 @@ _sheet_cells = st.dictionaries(_coords.map(_cell_text), st.integers(0, 9) | _for
 @example([{f"{column_letters(col)}{row}": "=SUM(A1:C6)" for row in range(1, 9) for col in range(1, 7)}])
 # The range's columns hold fewer formulas than its rows, two of them below it in its first column.
 @example([{**{f"D{row}": "=1" for row in range(1, 18)}, "B18": "=2", "B19": "=3", "J1": "=SUM(B1:C17)"}])
+# A1, listed twice, beside B1:B17, held by two boxes: one piece of in-degree 2 starts at A1.
+@example([{"J1": "=SUM(B1:B17)", "J2": "=SUM(B1:B17)", "J3": "=A1", "J4": "=A1*2"}])
+# Listed cells inside two larger boxes of different formulas, one of them in both.
+@example([{"J1": "=SUM(A1:E5)", "J2": "=SUM(C3:G8)", "J3": "=D4+C3", "J4": "=E5*2", "J5": "=A1"}])
+# Main has a larger box and Data has none; both reach in-degree 2, so the sheet order breaks the tie.
+@example([{"J1": "=SUM(A1:A20)", "J2": "=AVG(A1:A20)", "B2": "=C3"}, {"A1": "=B1+B2", "C1": "=B1"}])
 def test_compact_graph_equals_the_expanded_oracle(sheets):
     analysis = analyze(make_multi_workbook(dict(zip(("Main", "Data"), sheets))))
     graph, oracle = analysis.graph, graph_oracle.build_graph(analysis)
