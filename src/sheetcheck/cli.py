@@ -31,7 +31,7 @@ from .feedback import (
 )
 from .formulas import parse_workbook, syntax_check
 from .graph import export_dot
-from .grid import Workbook, read_workbook
+from .grid import Workbook, dump_json, read_workbook
 
 _STATUS_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.SYNTAX_ERROR: 2}
 
@@ -131,7 +131,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if analysis is None:
         return 2
     qualify = len(analysis.workbook.sheets) > 1
-    sys.stdout.write(json.dumps(metrics_doc(analysis.metrics, qualify), indent=2) + "\n")
+    sys.stdout.write(dump_json(metrics_doc(analysis.metrics, qualify), ensure_ascii=True) + "\n")
     return 0
 
 

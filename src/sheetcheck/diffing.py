@@ -215,14 +215,19 @@ def _match_numbers(
 
     Up to a relative bound of 1/2, a finite number below a value and not
     close to it is close to no larger value, and the numbers close to a
-    value form a run of the sorted submission, so one merge finds the
-    pairs.  Above 1/2 rounding breaks the first rule, from 1 on a close
-    set can have gaps, and an infinity can be close to every finite
-    number: then each value scans every unpaired number.
+    value form a run of the sorted submission, so one merge pairs the
+    finite numbers.  An infinity, the only non-finite literal, is close to
+    no infinity, and to every finite number when it is close to 0, else
+    to none.  Then the finite solution numbers the merge leaves unpaired,
+    ascending, take the submission's infinities, and each solution
+    infinity takes the least finite submission number left.  Above 1/2
+    rounding breaks the first rule and from 1 on a close set can have
+    gaps, so each value scans every unpaired number, as it does when a
+    negative infinity takes part.
     """
     remaining = sorted(submission)
     missing = []
-    if tolerance.rel > 0.5 or not all(map(math.isfinite, remaining + solution)):
+    if tolerance.rel > 0.5 or -math.inf in remaining or -math.inf in solution:
         for value in sorted(solution):
             for index, candidate in enumerate(remaining):
                 if tolerance.close(value, candidate):
@@ -231,17 +236,26 @@ def _match_numbers(
             else:
                 missing.append(value)
         return missing, remaining
+    solution = sorted(solution)
+    sol_finite, sub_finite = bisect_left(solution, math.inf), bisect_left(remaining, math.inf)
     surplus = []
     index = 0
-    for value in sorted(solution):
-        while index < len(remaining) and remaining[index] < value and not tolerance.close(value, remaining[index]):
+    for value in solution[:sol_finite]:
+        while index < sub_finite and remaining[index] < value and not tolerance.close(value, remaining[index]):
             surplus.append(remaining[index])
             index += 1
-        if index < len(remaining) and tolerance.close(value, remaining[index]):
+        if index < sub_finite and tolerance.close(value, remaining[index]):
             index += 1
         else:
             missing.append(value)
-    return missing, surplus + remaining[index:]
+    surplus += remaining[index:sub_finite]
+    sol_infinite, sub_infinite = solution[sol_finite:], remaining[sub_finite:]
+    if tolerance.close(math.inf, 0.0):
+        paired = min(len(missing), len(sub_infinite))
+        missing, sub_infinite = missing[paired:], sub_infinite[paired:]
+        paired = min(len(sol_infinite), len(surplus))
+        sol_infinite, surplus = sol_infinite[paired:], surplus[paired:]
+    return missing + sol_infinite, surplus + sub_infinite
 
 
 def diff_formula(

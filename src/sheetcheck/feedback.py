@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -36,6 +37,7 @@ from .grid import (
     Text,
     Value,
     Workbook,
+    dump_json,
     format_number,
     parse_address,
     read_workbook,
@@ -47,11 +49,11 @@ from .matching import MatchResult, match_values
 from .quality import (
     COMPARED_METRICS,
     DuplicateCalculation,
+    FormulaFacts,
     IdiomSuggestion,
     QualityConfig,
     QualityFinding,
     QualityMetrics,
-    canonical_forms,
     compare_metrics,
     compute_metrics,
     duplicate_calculations,
@@ -74,13 +76,19 @@ class WorkbookAnalysis:
     `formulas` maps each formula cell to its parsed AST as `parse_workbook`
     returns them: sheets in workbook order, row-major within each sheet.
     `grid` is the workbook's evaluation (see `evaluate.evaluate`).
-    `canonical` maps each formula cell, in the order of `formulas`, to its
-    canonical form.  The graph and the metrics read the parsed `formulas`,
-    the duplicate check reads `canonical`, and the idiom check and the
-    formula diff read both.  The canonical forms, graph and metrics are
-    computed on first use.  The reference of a task bundle is analysed
-    once per bundle, a submission once per report; `analyze` builds an
-    analysis.
+    `facts` maps each formula cell, in the order of `formulas`, to its
+    `FormulaFacts`: its canonical form and what the graph, the metrics,
+    the duplicate check and the idiom check read off it, each computed on
+    first read.  `canonical` maps each formula cell to its canonical form
+    alone, for the formula diff.  The facts, graph and metrics are
+    computed on first use.
+
+    A submission analysed against the `reference` analysis of its task
+    takes the reference's facts for each formula that is the reference's
+    own AST at the same cell, as `parse_workbook` hands out for a formula
+    whose text the reference has.  The reference of a task bundle is
+    analysed once per bundle, a submission once per report; `analyze`
+    builds an analysis.
     """
 
     def __init__(
@@ -88,14 +96,25 @@ class WorkbookAnalysis:
         workbook: Workbook,
         formulas: Mapping[CellAddress, FormulaAst],
         grid: dict[CellAddress, Value],
+        reference: WorkbookAnalysis | None = None,
     ):
         self.workbook = workbook
         self.formulas = formulas
         self.grid = grid
+        self.reference = reference
+
+    @cached_property
+    def facts(self) -> dict[CellAddress, FormulaFacts]:
+        reference = self.reference
+        known = reference.formulas if reference is not None else {}
+        return {
+            address: reference.facts[address] if known.get(address) is ast else FormulaFacts(ast)
+            for address, ast in self.formulas.items()
+        }
 
     @cached_property
     def canonical(self) -> dict[CellAddress, FormulaAst]:
-        return canonical_forms(self.formulas)
+        return {address: facts.canonical for address, facts in self.facts.items()}
 
     @cached_property
     def graph(self) -> DependencyGraph:
@@ -106,15 +125,21 @@ class WorkbookAnalysis:
         return compute_metrics(self)
 
 
-def analyze(workbook: Workbook, formulas: Mapping[CellAddress, FormulaAst] | None = None) -> WorkbookAnalysis:
+def analyze(
+    workbook: Workbook,
+    formulas: Mapping[CellAddress, FormulaAst] | None = None,
+    reference: WorkbookAnalysis | None = None,
+) -> WorkbookAnalysis:
     """Evaluate a workbook that has passed the syntax check.
 
     `formulas` are its parsed formula cells as `parse_workbook` returns
-    them; without them the workbook is parsed here.
+    them; without them the workbook is parsed here.  A submission's
+    `reference` is its task's reference analysis, whose per-formula facts
+    it shares (see `WorkbookAnalysis`); the report is the same without it.
     """
     if formulas is None:
         formulas = checked_formulas(workbook)
-    return WorkbookAnalysis(workbook, formulas, evaluate(workbook, formulas))
+    return WorkbookAnalysis(workbook, formulas, evaluate(workbook, formulas), reference)
 
 
 # --------------------------------------------------------------------------
@@ -234,13 +259,26 @@ def _known_keys(doc: Mapping[str, Any], known: Sequence[str], prefix: str = "") 
 def _number(
     doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float, least: int | None = None
 ) -> Any:
-    """`doc[key]` as a `kind` number, `default` when absent; not below `least` when given."""
-    try:
-        value = kind(doc.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TaskConfigError(f"task bundle field {name!r} must be a number") from exc
+    """`doc[key]` as a finite `kind` number, `default` when absent; not below `least` when given.
+
+    The value must be a JSON number, not text or a boolean, and an integer
+    when `kind` is int.
+    """
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TaskConfigError(f"task bundle field {name!r} must be {'an integer' if kind is int else 'a number'}")
     if least is not None and not value >= least:  # NaN fails too
         raise TaskConfigError(f"task bundle field {name!r} is out of range, must be at least {least}")
+    if not abs(value) <= sys.float_info.max:  # NaN, the infinities and integers past any float
+        raise TaskConfigError(f"task bundle field {name!r} must be a finite number")
+    return kind(value)
+
+
+def _text(doc: Mapping[str, Any], key: str, name: str, optional: bool = True) -> str | None:
+    """`doc[key]` as text, or None when it is absent or null and `optional`; else a TaskConfigError."""
+    value = doc.get(key)
+    if not isinstance(value, str) and not (optional and value is None):
+        raise TaskConfigError(f"task bundle field {name!r} must be text")
     return value
 
 
@@ -300,17 +338,18 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
             raise TaskConfigError(f"annotation needs text 'range' and 'text' fields: {entry!r}")
         _known_keys(entry, ("range", "text", "link"), "annotations.")
         start, end = _parse_range(entry["range"], default_sheet)
-        annotations.append(Annotation(start, end, entry["text"], entry.get("link")))
+        annotations.append(Annotation(start, end, entry["text"], _text(entry, "link", "annotations.link")))
 
     materials = []
     for entry in _section(doc, "materials", list, "materials") or ():
         if not isinstance(entry, dict) or "title" not in entry:
             raise TaskConfigError(f"material needs a 'title' field: {entry!r}")
         _known_keys(entry, ("title", "keywords", "ref"), "materials.")
+        title = _text(entry, "title", "materials.title", optional=False)
         keywords = _normalize_keywords(_section(entry, "keywords", list, "materials.keywords") or ())
         if not keywords:
-            raise TaskConfigError(f"material {entry.get('title')!r} has no usable keywords")
-        materials.append(MaterialEntry(entry["title"], keywords, entry.get("ref")))
+            raise TaskConfigError(f"material {title!r} has no usable keywords")
+        materials.append(MaterialEntry(title, keywords, _text(entry, "ref", "materials.ref")))
 
     quality_doc = _section(doc, "quality", dict, "quality") or {}
     _known_keys(quality_doc, ("factor", "offset", "min_idiom_operands", "overrides"), "quality.")
@@ -377,7 +416,7 @@ def dump_bundle(bundle: TaskBundle) -> str:
             },
         },
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +631,7 @@ def generate_feedback(
         )
 
     reference = bundle.reference_analysis
-    analysis = analyze(submission, formulas)
+    analysis = analyze(submission, formulas, reference)
     match = match_values(reference, analysis, bundle.tolerance, bundle.graded)
     status = Status.FAIL if match.value_errors else Status.PASS
 
@@ -772,4 +811,4 @@ def report_to_doc(report: FeedbackReport) -> dict[str, Any]:
 
 def render_json(report: FeedbackReport) -> str:
     """Canonical JSON rendering: fixed key order, deterministic output."""
-    return json.dumps(report_to_doc(report), indent=2, ensure_ascii=False) + "\n"
+    return dump_json(report_to_doc(report)) + "\n"

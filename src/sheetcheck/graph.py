@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, filterfalse
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .evaluate import BAD_REF
 from .formulas import FormulaAst, cover, disjoint_boxes, reference_boxes, references_of
@@ -193,18 +193,31 @@ class DependencyGraph:
         return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
 
 
+def formula_boxes(ast: FormulaAst) -> Sequence[tuple[str, int, int, int, int]]:
+    """A formula's distinct references as boxes, cut apart when there are several and one is over `_LISTED_AREA` cells.
+
+    Boxes of at most `_LISTED_AREA` cells may overlap each other; each cell
+    of a larger box lies in no other box.
+    """
+    boxes = reference_boxes(ast)
+    if len(boxes) > 1 and any(
+        (bottom - top + 1) * (right - left + 1) > _LISTED_AREA for _, top, left, bottom, right in boxes
+    ):
+        return disjoint_boxes(boxes)  # each cell in one box, so the graph's counts are plain sums
+    return boxes
+
+
 def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     """Build the dependency graph of an analysed workbook.
 
-    The references come from the analysis's parsed formulas; references to
-    absent cells and to nonexistent sheets count too.  Several references,
-    one over `_LISTED_AREA` cells, are cut into disjoint boxes first.  The
-    formula cells inside a larger box are found by scanning the formula
-    cells in its rows, or those in its columns, or by looking up each of
-    its cells, whichever are fewer, and only a box of at most
-    `_LISTED_AREA` cells is listed cell by cell.
+    The references are each formula's `formula_boxes`, read from the
+    analysis's `facts`; references to absent cells and to nonexistent
+    sheets count too.  The formula cells inside a larger box are found by
+    scanning the formula cells in its rows, or those in its columns, or by
+    looking up each of its cells, whichever are fewer, and only a box of
+    at most `_LISTED_AREA` cells is listed cell by cell.
     """
-    formulas = analysis.formulas
+    formulas, facts = analysis.formulas, analysis.facts
     cells = row_major(formulas)
     own = dict(zip(cells, cells))
     fan_out: dict[CellAddress, int] = {}
@@ -214,15 +227,10 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
     by_column: list[CellAddress] | None = None  # the formula cells column-major
     column_major = itemgetter(0, 2, 1)
     for cell in cells:
-        boxes = reference_boxes(formulas[cell])
-        if len(boxes) > 1 and any(
-            (bottom - top + 1) * (right - left + 1) > _LISTED_AREA for _, top, left, bottom, right in boxes
-        ):
-            boxes = disjoint_boxes(boxes)  # each cell in one box, so the counts below are plain sums
         targets: list[tuple] = []
         found: list[CellAddress] = []
         span = 0  # the cells of the larger boxes
-        for sheet, top, left, bottom, right in boxes:
+        for sheet, top, left, bottom, right in facts[cell].boxes:
             area = (bottom - top + 1) * (right - left + 1)
             if area == 1:  # most references: no list of members to build
                 targets.append((sheet, top, left))

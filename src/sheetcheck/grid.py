@@ -26,6 +26,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 
@@ -403,4 +404,77 @@ def write_workbook(workbook: Workbook) -> str:
             for sheet in workbook.sheets
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc) + "\n"
+
+
+_END = object()
+
+
+def dump_json(doc: Any, ensure_ascii: bool = False) -> str:
+    """The text of `json.dumps(doc, indent=2, ensure_ascii=ensure_ascii)`, for plain data.
+
+    `doc` holds str, int, float, bool and None values, lists and dicts
+    with str keys; any other type, a tuple included, raises TypeError.
+    With an indent json encodes in pure Python, through one generator per
+    container.  This writer walks the document with a stack of the open
+    containers and calls no Python function of its own.
+    """
+    encode = encode_basestring_ascii if ensure_ascii else encode_basestring
+    parts: list[str] = []
+    write = parts.append
+    # Per open container: [its items, the text before its next item, its
+    # items' newline and indent, its closing text, whether it is a dict].
+    frames: list[list[Any]] = []
+    value, newline = doc, "\n"
+    while True:
+        if isinstance(value, str):
+            write(encode(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, float):
+            if value != value:
+                write("NaN")
+            elif value in (math.inf, -math.inf):
+                write("Infinity" if value > 0 else "-Infinity")
+            else:
+                write(float.__repr__(value))
+        elif isinstance(value, dict):
+            if value:
+                inner = newline + "  "
+                frames.append([iter(value.items()), "{" + inner, inner, newline + "}", True])
+            else:
+                write("{}")
+        elif isinstance(value, list):
+            if value:
+                inner = newline + "  "
+                frames.append([iter(value), "[" + inner, inner, newline + "]", False])
+            else:
+                write("[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        while frames:  # close every container that has no item left
+            frame = frames[-1]
+            item = next(frame[0], _END)
+            if item is not _END:
+                break
+            frames.pop()
+            write(frame[3])
+        else:
+            return "".join(parts)
+        write(frame[1])
+        newline = frame[2]
+        frame[1] = "," + newline
+        if frame[4]:
+            key, value = item
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(encode(key))
+            write(": ")
+        else:
+            value = item

@@ -11,7 +11,8 @@ per-metric overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .formulas import (
     Binary,
@@ -31,7 +32,7 @@ from .formulas import (
     range_size,
     walk_ast,
 )
-from .graph import longest_chain
+from .graph import formula_boxes, longest_chain
 
 # Not called here since the graph counts its own terminals; the benchmark's
 # tracer (perfbench/tracing.py) still wraps this name in this module.
@@ -129,7 +130,7 @@ def _formula_counts(ast: FormulaAst) -> tuple[int, int, int]:
 
 def compute_metrics(analysis: WorkbookAnalysis) -> QualityMetrics:
     """Collect the metric set of an analysed workbook."""
-    counts = [_formula_counts(ast) for ast in analysis.formulas.values()]
+    counts = [facts.counts for facts in analysis.facts.values()]
     workbook, graph = analysis.workbook, analysis.graph
 
     return QualityMetrics(
@@ -202,9 +203,63 @@ def _add_chains(ast: FormulaAst) -> list[Chain]:
     return chains
 
 
-def canonical_forms(formulas: Mapping[CellAddress, FormulaAst]) -> dict[CellAddress, FormulaAst]:
-    """The canonical form of each formula, in the same order."""
-    return {address: canonicalize(ast) for address, ast in formulas.items()}
+def _idiom(canonical: FormulaAst, ast: FormulaAst) -> tuple[str, int] | None:
+    """(function, most): an idiom suggestion names `function` when `min_idiom_operands` is at most `most`.
+
+    A canonical form that is a written-out average of n cells suggests AVG
+    from n operands on.  Any other suggests SUM when one of its `+` chains
+    covers more distinct cells than the setting, so `most` is one less
+    than the most distinct cells of a chain; a chain never covers more
+    distinct cells than its size.  None when no setting of at least 2
+    suggests anything, or when the parsed formula already uses the function.
+    """
+    most = _avg_pattern_operands(canonical)
+    if most is not None:
+        function = "AVG"
+    else:
+        function = "SUM"
+        most = max((distinct_cells(chain.refs) for chain in _add_chains(canonical) if chain.size > 2), default=0) - 1
+    if most < 2 or _mentions_function(ast, function):
+        return None
+    return function, most
+
+
+class FormulaFacts:
+    """What the graph and the quality checks read off one parsed formula, each computed on first read.
+
+    None of it depends on the formula's cell or on a `QualityConfig`, so a
+    submission formula that is the reference's own AST at its cell takes
+    the reference's facts (see `WorkbookAnalysis.facts`).  A stage reads
+    only the facts it needs: the graph and metrics of a workbook build no
+    canonical form.
+    """
+
+    def __init__(self, ast: FormulaAst):
+        self.ast = ast
+
+    @cached_property
+    def canonical(self) -> FormulaAst:
+        return canonicalize(self.ast)
+
+    @cached_property
+    def key(self) -> tuple:
+        """The canonical form's `node_key`."""
+        return node_key(self.canonical)
+
+    @cached_property
+    def counts(self) -> tuple[int, int, int]:
+        """Operators, operands and nesting depth."""
+        return _formula_counts(self.ast)
+
+    @cached_property
+    def boxes(self) -> Sequence[tuple[str, int, int, int, int]]:
+        """The formula's references as disjoint boxes, see `graph.formula_boxes`."""
+        return formula_boxes(self.ast)
+
+    @cached_property
+    def idiom(self) -> tuple[str, int] | None:
+        """See `_idiom`."""
+        return _idiom(self.canonical, self.ast)
 
 
 def idiom_suggestions(analysis: WorkbookAnalysis, config: QualityConfig) -> list[QualityFinding]:
@@ -215,21 +270,10 @@ def idiom_suggestions(analysis: WorkbookAnalysis, config: QualityConfig) -> list
     check is value-agnostic: a wrong formula can still earn a suggestion.
     """
     by_function: dict[str, list[CellAddress]] = {}
-    for address, canonical in analysis.canonical.items():
-        original = analysis.formulas[address]
-        avg_operands = _avg_pattern_operands(canonical)
-        if avg_operands is not None and avg_operands >= config.min_idiom_operands:
-            if not _mentions_function(original, "AVG"):
-                by_function.setdefault("AVG", []).append(address)
-            continue
-
-        for chain in _add_chains(canonical):
-            # a chain never covers more distinct cells than its size
-            long = chain.size > config.min_idiom_operands and distinct_cells(chain.refs) > config.min_idiom_operands
-            if long and not _mentions_function(original, "SUM"):
-                by_function.setdefault("SUM", []).append(address)
-                break
-
+    for address, facts in analysis.facts.items():
+        idiom = facts.idiom
+        if idiom is not None and config.min_idiom_operands <= idiom[1]:
+            by_function.setdefault(idiom[0], []).append(address)
     return [
         IdiomSuggestion(name, row_major(cells)) for name, cells in sorted(by_function.items())
     ]
@@ -242,8 +286,8 @@ def duplicate_calculations(analysis: WorkbookAnalysis) -> list[QualityFinding]:
     not match.
     """
     by_form: dict[tuple, list[CellAddress]] = {}
-    for address, canonical in analysis.canonical.items():
-        by_form.setdefault(node_key(canonical), []).append(address)
+    for address, facts in analysis.facts.items():
+        by_form.setdefault(facts.key, []).append(address)
     groups = [row_major(cells) for cells in by_form.values() if len(cells) >= 2]
     groups.sort()  # by first cell: no cell is in two groups
     return [DuplicateCalculation(cells) for cells in groups]

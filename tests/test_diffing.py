@@ -416,10 +416,13 @@ def test_diff_formula_equals_the_oracle(seed, tolerance):
         assert diff_formula(reference, submission, address, tolerance) == expected
 
 
-_NUMBERS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5.0, -0.3, 0.5, 1e-9, math.inf]) | st.floats(-1e6, 1e6) | st.floats(
-    allow_nan=False
+_NUMBERS = (
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5.0, -0.3, 0.5, 1e-9, math.inf, -math.inf])
+    | st.just(math.inf)
+    | st.floats(-1e6, 1e6)
+    | st.floats(allow_nan=False)
 )
-_NUMBER_TOLERANCES = st.builds(Tolerance, abs=st.floats(0, 10), rel=st.just(0.0)) | st.builds(
+_NUMBER_TOLERANCES = st.builds(Tolerance, abs=st.floats(0, 10) | st.just(math.inf), rel=st.just(0.0)) | st.builds(
     Tolerance,
     abs=st.sampled_from([0.0, 1e-9]),
     rel=st.floats(0, 0.5) | st.sampled_from([0.5, 0.9, 1.0, 1.2, 1.5]),
@@ -457,6 +460,18 @@ _SHAPES = {
         {"B1": "=" + "+".join(f"{i}.5" for i in range(1, _N + 1))},
     ),
 }
+
+
+def test_an_infinite_constant_keeps_number_matching_linear():
+    # An overflowing literal is an infinity, close to every finite number at
+    # the default tolerance; a scan per value runs millions of lines here.
+    count = 4_000
+    reference = _unevaluated(make_workbook({"B1": "=" + "+".join(str(i) for i in range(1, count + 1))}))
+    submitted = [f"{i}.5" for i in range(1, count)] + ["1e400"]
+    submission = _unevaluated(make_workbook({"B1": "=" + "+".join(submitted)}))
+    detail, lines = module_lines(diffing, diff_formula, reference, submission, addr("B1"))
+    assert len(detail.expected) == count - 1 and detail.found[-1].text == "3999.5"
+    assert lines <= 40 * count, lines
 
 
 @pytest.mark.parametrize("shape", _SHAPES)

@@ -23,6 +23,7 @@ from sheetcheck import (
     lookup_annotations,
     parse_address,
     parse_formula,
+    parse_workbook,
     read_workbook,
     render_formula,
     render_json,
@@ -47,26 +48,36 @@ def test_fixture_messages_per_level(grades, level):
     assert report.status is Status.FAIL
 
 
+def _counting(monkeypatch, name, *modules):
+    """The list of the ASTs that `name` is called with, in any of `modules`, from now on."""
+    calls = []
+    for module in modules:
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda ast, function=function: calls.append(ast) or function(ast))
+    return calls
+
+
+def _differing(bundle, submission):
+    """The parsed submission formulas that are not the reference's own AST at their cell."""
+    formulas, _ = parse_workbook(submission, bundle.parsed_sources)
+    reference = bundle.reference_analysis.formulas
+    return [ast for address, ast in formulas.items() if reference.get(address) is not ast]
+
+
 def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch):
-    from collections import Counter
+    # A formula that is the reference's AST at its cell is canonicalized
+    # once per bundle, any other once per report.
+    import dataclasses
 
     import sheetcheck.quality as quality
-    from sheetcheck import parse_formula
 
-    calls = Counter()
-    canonicalize = quality.canonicalize
-
-    def counting(ast):
-        calls[ast] += 1
-        return canonicalize(ast)
-
-    monkeypatch.setattr(quality, "canonicalize", counting)
-    generate_feedback(grades.bundle, grades.submission, 7, force_quality=True)
-    formulas = Counter(
-        parse_formula(formula.source, address.sheet)
-        for address, formula in grades.submission.formula_items()
-    )
-    assert len(formulas) > 1 and calls == formulas
+    bundle = dataclasses.replace(grades.bundle)  # nothing cached yet
+    reference = list(bundle.reference_analysis.formulas.values())
+    differing = _differing(bundle, grades.submission)
+    calls = _counting(monkeypatch, "canonicalize", quality)
+    generate_feedback(bundle, grades.submission, 7, force_quality=True)
+    assert 0 < len(differing) < len(grades.submission.formula_items())
+    assert Counter(calls) == Counter(reference) + Counter(differing)
 
 
 @pytest.mark.parametrize("level", range(1, 8))
@@ -103,25 +114,20 @@ def test_no_submission_ast_outlives_its_report(grades, monkeypatch, level):
 
 
 def test_level_6_canonicalizes_each_formula_error_once(grades, monkeypatch):
-    from collections import Counter
+    import dataclasses
 
     import sheetcheck.diffing as diffing
     import sheetcheck.quality as quality
-    from sheetcheck import parse_formula
 
-    calls = Counter()
-    for module in (diffing, quality):
-
-        def counting(ast, canonicalize=module.canonicalize):
-            calls[ast] += 1
-            return canonicalize(ast)
-
-        monkeypatch.setattr(module, "canonicalize", counting)
-    report = generate_feedback(grades.bundle, grades.submission, 6)
+    bundle = dataclasses.replace(grades.bundle)
+    generate_feedback(bundle, grades.submission, 6)  # the reference's facts are built
+    calls = _counting(monkeypatch, "canonicalize", diffing, quality)
+    report = generate_feedback(bundle, grades.submission, 6)
     errors = [d.cell for d in report.diagnoses if d.kind is DiagnosisKind.FORMULA_ERROR]
     submitted = [parse_formula(grades.submission.content(a).source, a.sheet) for a in errors]
     assert len(submitted) == 2
-    assert [calls[ast] for ast in submitted] == [1, 1]
+    assert [calls.count(ast) for ast in submitted] == [1, 1]
+    assert Counter(calls) == Counter(_differing(bundle, grades.submission))
 
 
 def _cells_expanded_while_diffing(monkeypatch):
@@ -186,17 +192,29 @@ def test_a_second_report_canonicalizes_no_reference_formula(grades, monkeypatch)
     import sheetcheck.quality as quality
 
     bundle = dataclasses.replace(grades.bundle)  # nothing cached yet
-    calls = []
-    for module in (diffing, quality):
-        canonicalize = module.canonicalize
-        monkeypatch.setattr(module, "canonicalize", lambda ast, c=canonicalize: calls.append(ast) or c(ast))
-    submitted = len(grades.submission.formula_items())
-    reference = len(bundle.reference.formula_items())
+    reference = list(bundle.reference_analysis.formulas.values())
+    differing = _differing(bundle, grades.submission)
+    calls = _counting(monkeypatch, "canonicalize", diffing, quality)
     generate_feedback(bundle, grades.submission, 6)
-    assert len(calls) == submitted + reference
+    assert Counter(calls) == Counter(reference) + Counter(differing)
     calls.clear()
     assert _formula_errors(generate_feedback(bundle, grades.submission, 6))
-    assert len(calls) == submitted
+    assert 0 < len(calls) < len(grades.submission.formula_items()) and Counter(calls) == Counter(differing)
+
+
+def test_a_submission_equal_to_the_reference_shares_every_formula_result(grades, monkeypatch):
+    import dataclasses
+
+    import sheetcheck.quality as quality
+
+    bundle = dataclasses.replace(grades.bundle)
+    copy = read_workbook(write_workbook(bundle.reference))
+    generate_feedback(bundle, copy, 7)
+    canonicalized = _counting(monkeypatch, "canonicalize", quality)
+    counted = _counting(monkeypatch, "_formula_counts", quality)
+    report = generate_feedback(bundle, copy, 7)
+    assert report.status is Status.PASS and report.metrics[0] == report.metrics[1]
+    assert canonicalized == counted == []
 
 
 def test_pass_path_level_1(grades):
@@ -579,6 +597,31 @@ def test_bundle_unknown_nested_field_is_config_error(field, value, name):
         load_bundle(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, name, message",
+    [
+        ("annotations", [{"range": "A1", "text": "x", "link": ["a", {"b": 1}]}], "annotations.link", "must be text"),
+        ("materials", [{"title": 7, "keywords": ["k"]}], "materials.title", "must be text"),
+        ("materials", [{"title": None, "keywords": ["k"]}], "materials.title", "must be text"),
+        ("materials", [{"title": "m", "keywords": ["k"], "ref": 3}], "materials.ref", "must be text"),
+        ("tolerance", {"abs": "0.5"}, "tolerance.abs", "must be a number"),
+        ("quality", {"factor": True}, "quality.factor", "must be a number"),
+        ("quality", {"min_idiom_operands": 2.9}, "quality.min_idiom_operands", "must be an integer"),
+        ("tolerance", {"rel": float("inf")}, "tolerance.rel", "must be a finite number"),
+        (
+            "quality",
+            {"overrides": {"operator_total": {"factor": float("nan")}}},
+            "quality.overrides.operator_total.factor",
+            "must be a finite number",
+        ),
+    ],
+)
+def test_bundle_field_of_the_wrong_type_is_config_error(field, value, name, message):
+    doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
+    with pytest.raises(TaskConfigError, match=f"^task bundle field '{re.escape(name)}' {message}$"):
+        load_bundle(doc)
+
+
 def test_dumped_bundle_with_every_nested_field_loads():
     doc = {
         "task": "t",
@@ -776,6 +819,20 @@ def test_constants_at_unused_addresses_keep_the_diagnoses(case, padding):
     plain = _report(reference, submission, level)
     assert padded.status is plain.status
     assert [(d.cell, d.kind) for d in padded.diagnoses] == [(d.cell, d.kind) for d in plain.diagnoses]
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(_generated_cases())
+def test_a_report_sharing_the_reference_facts_has_the_bytes_of_one_without(case):
+    from unittest import mock
+
+    from sheetcheck import analyze, feedback
+
+    reference, submission, level = case
+    shared = render_json(_report(reference, submission, level))
+    with mock.patch.object(feedback, "analyze", lambda workbook, formulas, reference=None: analyze(workbook, formulas)):
+        unshared = render_json(_report(reference, submission, level))
+    assert shared == unshared
 
 
 def _moved(node, dr, dc):

@@ -4,7 +4,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheetcheck import (
@@ -23,8 +23,9 @@ from sheetcheck import (
     row_major,
     write_workbook,
 )
+from sheetcheck.grid import dump_json
 
-from conftest import addr, make_workbook, range_sum_cells
+from conftest import addr, examples, make_workbook, range_sum_cells
 
 
 def test_parse_address_smallest():
@@ -280,3 +281,37 @@ def test_integer_too_large_for_a_float_rejected(digits):
     text = '{"name": "x", "sheets": [{"name": "S", "cells": {"A1": ' + "9" * digits + "}}]}"
     with pytest.raises(WorkbookFormatError, match="S!A1" if digits == 400 else "S!A1|invalid workbook JSON"):
         read_workbook(text)
+
+
+# ---------------------------------------------------------------- JSON text
+
+
+_JSON_TEXT = st.text(st.characters(max_codepoint=0x1F) | st.characters(codec="utf-8") | st.sampled_from('"\\/ é€😀'))
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**80), 10**80)
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324])
+    | _JSON_TEXT
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=examples(100))
+@given(_JSON_DOCS, st.booleans())
+@example([[], {}, [[]], {"": {}}, [{"a": []}]], False)
+@example({"\x00\x1f é": [-0.0, float("nan"), float("inf"), float("-inf"), 10**80]}, True)
+def test_dump_json_equals_json_dumps(doc, ensure_ascii):
+    assert dump_json(doc, ensure_ascii) == json.dumps(doc, indent=2, ensure_ascii=ensure_ascii)
+
+
+@pytest.mark.parametrize("doc", [(1, 2), {"a": (1,)}, {1: "a"}, [{None: 1}], {"a": object()}, [b"x"]])
+def test_dump_json_rejects_what_is_not_plain_data(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)
