@@ -75,20 +75,19 @@ class WorkbookAnalysis:
 
     `formulas` maps each formula cell to its parsed AST as `parse_workbook`
     returns them: sheets in workbook order, row-major within each sheet.
-    `grid` is the workbook's evaluation (see `evaluate.evaluate`).
-    `facts` maps each formula cell, in the order of `formulas`, to its
-    `FormulaFacts`: its canonical form and what the graph, the metrics,
-    the duplicate check and the idiom check read off it, each computed on
-    first read.  `canonical` maps each formula cell to its canonical form
-    alone, for the formula diff.  The facts, graph and metrics are
-    computed on first use.
+    `grid` is the workbook's evaluation (see `evaluate.evaluate`).  The
+    rest is computed on first use.  `facts` maps each formula cell, in the
+    order of `formulas`, to its `FormulaFacts`: its canonical form and
+    what the graph, the metrics, the duplicate check and the idiom check
+    read off it.  `canonical` maps each to its canonical form alone, for
+    the formula diff.  `walks` maps graded cells, or None, to the
+    matcher's walk of the workbook as a reference.
 
     A submission analysed against the `reference` analysis of its task
     takes the reference's facts for each formula that is the reference's
     own AST at the same cell, as `parse_workbook` hands out for a formula
     whose text the reference has.  The reference of a task bundle is
-    analysed once per bundle, a submission once per report; `analyze`
-    builds an analysis.
+    analysed once per bundle, a submission once per report.
     """
 
     def __init__(
@@ -102,6 +101,7 @@ class WorkbookAnalysis:
         self.formulas = formulas
         self.grid = grid
         self.reference = reference
+        self.walks: dict[frozenset[CellAddress] | None, tuple[CellAddress, ...]] = {}
 
     @cached_property
     def facts(self) -> dict[CellAddress, FormulaFacts]:
@@ -359,12 +359,17 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     _known_keys(overrides_doc, COMPARED_METRICS, "quality.overrides.")
     overrides = {}
     for metric in overrides_doc:
-        values = _section(overrides_doc, metric, dict, f"quality.overrides.{metric}") or {}
-        _known_keys(values, ("factor", "offset"), f"quality.overrides.{metric}.")
+        name = f"quality.overrides.{metric}."
+        values = _section(overrides_doc, metric, dict, name[:-1]) or {}
+        _known_keys(values, ("factor", "offset"), name)
         overrides[metric] = (
-            _number(values, "factor", factor, f"quality.overrides.{metric}.factor"),
-            _number(values, "offset", offset, f"quality.overrides.{metric}.offset"),
+            _number(values, "factor", factor, name + "factor"),
+            _number(values, "offset", offset, name + "offset"),
         )
+        # The top-level bounds, checked after a NaN is reported as not finite.
+        for key, value, least in zip(("factor", "offset"), overrides[metric], (1, 0)):
+            if not value >= least:
+                raise TaskConfigError(f"task bundle field {name + key!r} is out of range, must be at least {least}")
     quality = QualityConfig(
         factor=factor,
         offset=offset,
@@ -373,7 +378,7 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     )
 
     bundle = TaskBundle(
-        task=str(doc["task"]),
+        task=_text(doc, "task", "task", optional=False),
         reference=reference,
         tolerance=tolerance,
         graded=graded,

@@ -1,35 +1,29 @@
 """Data dependency graph over workbook cells.
 
 Every formula cell is a node with a directed edge to each cell its formula
-references; referenced cells join the node set even when blank.  Constants
-that nothing references stay out of the graph.  Sources (nothing refers to
-them) are the output nodes, sinks (they refer to nothing) are the input
-nodes.
+references; referenced cells join the node set even when blank.  Sources
+(nothing refers to them) are the output nodes, sinks (they refer to
+nothing) are the input nodes.
 
-The graph is stored over formula cells and reference rectangles: each
-formula cell keeps its out-degree and the formula cells that lie inside
-its references, and a range of more than 16 cells is kept as one box.
-A formula's boxes are cut apart when they overlap such a box, so a
-cell's in-degree is the number of boxes that hold it.  Cycles, the
-longest chain, the terminal and fan counts and the dependents of a cell
-are computed without expanding such a range, so their cost grows with
-the number of formulas and references, not with range area.  Only the
-`nodes`, `out_edges` and `edges()` views expand every range, when first
-read.
+The graph is stored over formula cells and reference boxes, a range of
+more than 16 cells as one box, so the cycles, the longest chain, the
+metrics and the dependents of a cell cost what the formulas and their
+references number, not what their ranges cover.  Only `terminals` and
+`export_dot`, which list every input node and every edge, expand ranges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .evaluate import BAD_REF
 from .formulas import FormulaAst, cover, disjoint_boxes, reference_boxes, references_of
-from .grid import BLANK, CellAddress, Number, Workbook, format_value, row_major
+from .grid import BLANK, CellAddress, Number, format_value, row_major
 
 if TYPE_CHECKING:
     from .feedback import WorkbookAnalysis
@@ -44,22 +38,16 @@ class DependencyGraph:
     """The dependency graph of an analysed workbook, over formula cells and boxes.
 
     `formula_cells` lists the formula cells row-major, and the maps below
-    list them in that order.  `fan_out` maps each to its out-degree, the
-    number of distinct cells its references cover, and `precedents` to
-    the formula cells among those, once each: the edges between formula
-    cells, a formula inside its own range included.
-
-    Who references a cell is indexed in two parts, over each formula's
-    boxes, which `build_graph` keeps disjoint.  `listed` maps each cell of
-    a box of at most `_LISTED_AREA` cells, as a plain (sheet, row, col)
-    tuple, to the formula cells whose boxes hold it, row-major.  `ranges`
-    maps each sheet to its larger boxes as (top, left, bottom, right,
-    formula cell).  `workbook` and `formulas`, its parsed formula cells,
-    back the expanded views.
+    list them in that order: `fan_out` maps each to its out-degree, the
+    distinct cells its references cover, and `precedents` to the formula
+    cells among those, once each, itself included when in its own range.
+    Who references a cell is indexed over each formula's disjoint boxes:
+    `listed` maps each cell of a box of at most `_LISTED_AREA` cells, as a
+    plain (sheet, row, col) tuple, to the formula cells whose boxes hold
+    it, row-major, and `ranges` maps each sheet to its larger boxes as
+    (top, left, bottom, right, formula cell).
     """
 
-    workbook: Workbook = field(repr=False)
-    formulas: Mapping[CellAddress, FormulaAst] = field(repr=False)
     formula_cells: tuple[CellAddress, ...]
     fan_out: Mapping[CellAddress, int]
     precedents: Mapping[CellAddress, tuple[CellAddress, ...]]
@@ -162,36 +150,6 @@ class DependencyGraph:
         """The largest in-degree, with the first node row-major that has it."""
         return self._fan_in[1]
 
-    # Expanded views: they list range members one by one.
-
-    @cached_property
-    def out_edges(self) -> dict[CellAddress, tuple[CellAddress, ...]]:
-        """Each formula cell's referenced cells, row-major, as the workbook's own address objects."""
-        own: dict[CellAddress, CellAddress] = {}
-        for sheet in self.workbook.sheets:
-            own.update(zip(sheet.cells, sheet.cells))
-        edges = {}
-        for cell in self.formula_cells:
-            refs = references_of(self.formulas[cell])
-            edges[cell] = tuple(map(own.get, refs, refs))
-        return edges
-
-    @cached_property
-    def nodes(self) -> tuple[CellAddress, ...]:
-        """The formula cells and every cell they reference, row-major."""
-        return row_major({*self.formula_cells, *chain.from_iterable(self.out_edges.values())})
-
-    def edges(self) -> Iterator[tuple[CellAddress, CellAddress]]:
-        out_edges = self.out_edges
-        for source in self.formula_cells:
-            for target in out_edges[source]:
-                yield (source, target)
-
-    @cached_property
-    def _terminals(self) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
-        """(outputs, inputs), computed once per graph; see `terminals`."""
-        return self.outputs, tuple(filterfalse(self.out_edges.get, self.nodes))
-
 
 def formula_boxes(ast: FormulaAst) -> Sequence[tuple[str, int, int, int, int]]:
     """A formula's distinct references as boxes, cut apart when there are several and one is over `_LISTED_AREA` cells.
@@ -260,15 +218,22 @@ def build_graph(analysis: WorkbookAnalysis) -> DependencyGraph:
         found += filter(None, map(own.get, targets))
         precedents[cell] = tuple(found)
         fan_out[cell] = len(targets) + span
-    return DependencyGraph(analysis.workbook, formulas, cells, fan_out, precedents, listed, ranges)
+    return DependencyGraph(cells, fan_out, precedents, listed, ranges)
 
 
 def terminals(graph: DependencyGraph) -> tuple[tuple[CellAddress, ...], tuple[CellAddress, ...]]:
-    """(outputs, inputs): nodes without incoming and without outgoing edges.
+    """(outputs, inputs): nodes without incoming and without outgoing edges, row-major.
 
-    Computed once per graph, on the first call; the inputs expand ranges.
+    Only the inputs are expanded: the formula cells without references
+    and the other cells of `listed` and of the larger boxes, each once.
     """
-    return graph._terminals
+    fan_out, referenced = graph.fan_out, list(graph.listed)
+    boxes = [(sheet, *box[:4]) for sheet, sheet_boxes in graph.ranges.items() for box in sheet_boxes]
+    for sheet, top, left, bottom, right in disjoint_boxes(boxes):
+        referenced += product([sheet], range(top, bottom + 1), range(left, right + 1))
+    inputs = {cell for cell, degree in fan_out.items() if not degree}
+    inputs.update(CellAddress(sheet, col, row) for sheet, row, col in referenced if (sheet, row, col) not in fan_out)
+    return graph.outputs, row_major(inputs)
 
 
 def longest_chain(graph: DependencyGraph) -> int:
@@ -300,26 +265,27 @@ def export_dot(analysis: WorkbookAnalysis) -> str:
     nodes are filled red, input nodes green.  Output is deterministic:
     nodes and edges appear in row-major order.
     """
-    graph, grid = analysis.graph, analysis.grid
+    graph, grid, formulas = analysis.graph, analysis.grid, analysis.formulas
     sheets = set(analysis.workbook.sheet_names())
-    multi_sheet = len({node.sheet for node in graph.nodes}) > 1
-    outputs, inputs = terminals(graph)
-    output_set, input_set = set(outputs), set(inputs)
+    edges = {cell: references_of(formulas[cell]) for cell in graph.formula_cells}
+    nodes = row_major({*edges, *chain.from_iterable(edges.values())})
+    multi_sheet = len({node.sheet for node in nodes}) > 1
+    names = {node: node.text(qualified=multi_sheet) for node in nodes}
+    outputs = set(graph.outputs)
     lines = ["digraph dependencies {"]
-    for node in graph.nodes:
+    for node, name in names.items():
         value = grid.get(node, BLANK if node.sheet in sheets else BAD_REF)
         shown = f"{value.value:.2f}" if isinstance(value, Number) else format_value(value)
-        name = node.text(qualified=multi_sheet)
         attrs = [f"label={_dot_quote(f'{name}: {shown}')}"]
-        if node in output_set:
+        if node in outputs:
             attrs.append("style=filled, fillcolor=red")
-        elif node in input_set:
+        elif not edges.get(node):  # an input node
             attrs.append("style=filled, fillcolor=green")
         lines.append(f"  {_dot_quote(name)} [{', '.join(attrs)}];")
-    for source, target in graph.edges():
-        lines.append(
-            f"  {_dot_quote(source.text(qualified=multi_sheet))} -> "
-            f"{_dot_quote(target.text(qualified=multi_sheet))};"
-        )
+    lines += [
+        f"  {_dot_quote(names[source])} -> {_dot_quote(names[target])};"
+        for source, targets in edges.items()
+        for target in targets
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,25 +9,27 @@ still disagrees at that point is the original error site, a formula error,
 and its working-copy entry is overwritten with the reference value so that
 errors it propagated do not count against the cells downstream.
 
-Re-evaluation reads one working memo of cell values, seeded from the
-submission's grid, so a cell that no correction reaches costs a lookup.
-A correction stores the reference value and drops the memo entries of
-the cells that depend on the corrected one, transitively; they are
-evaluated again when next read.  The dependents come from the submission
-graph's `dependents`: a formula cell's are the formula edges reversed;
-any other cell's come from a dict over the cells that formulas reference
-one by one or through a range of at most 16 cells, plus a scan of the
-larger ranges of its sheet, kept as rectangles.  No larger range is
-expanded.  A correction that adds a sheet the submission lacks drops the
-whole memo, because references into that sheet turn from BAD_REF into
-cell values.  Cells that can reach a reference cycle of the submission
-are re-evaluated from a fresh memo instead: a cycle's values depend on
-the cell evaluation starts from.  The depth-first walk and evaluation
-keep explicit stacks, so chains of any length are matched.
+The walk depends on the reference and the graded cells alone:
+`reference_walk` lists it once per reference and graded cells, and each
+match replays the list.  A map per column from a reached row to a later
+row skips the cells already reached without reading them, so a running
+total is walked in linear time.
+
+Re-evaluation reads one working memo seeded from the submission's grid,
+so a cell that no correction reaches costs a lookup.  A correction
+stores the reference value and drops the memo entries of the cells that
+depend on the corrected one, transitively, by the submission graph's
+`dependents`.  A correction that adds a sheet the submission lacks drops
+the whole memo: references into that sheet turn from BAD_REF into
+values.  Cells that can reach a cycle of the submission are re-evaluated
+from a fresh memo, since a cycle's values depend on where evaluation
+starts.  The walk and evaluation keep explicit stacks, so chains of any
+length are matched.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,9 +39,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from .evaluate import DEFAULT_TOLERANCE, Tolerance, cell_value, values_equal, workbook_contents
 from .grid import BLANK, CellAddress, Value, row_major
 
-# Not called here since matching takes analysed workbooks, which hold their
-# evaluated grid and graph, and the graph lists its outputs; the benchmark's
-# tracer (perfbench/tracing.py) still wraps these three names in this module.
+# Not called here; the benchmark's tracer (perfbench/tracing.py) still wraps these three names in this module.
 from .evaluate import evaluate  # noqa: F401
 from .graph import build_graph, terminals  # noqa: F401
 
@@ -83,6 +83,49 @@ class MatchResult:
         return tuple(map(TraceEntry._make, zip(*[fields] * _FIELDS)))
 
 
+def reference_walk(reference: WorkbookAnalysis, graded: frozenset[CellAddress] | None) -> tuple[CellAddress, ...]:
+    """The walk `match_values` replays, from `graded` or the outputs; cells the workbook has are its own objects."""
+    from heapq import heappop, heapreplace  # here, not at import: loading a bundle walks nothing
+    facts, own = reference.facts, {cell: cell for sheet in reference.workbook.sheets for cell in sheet.cells}
+    jumps: defaultdict[tuple[str, int], dict[int, int]] = defaultdict(dict)  # a reached row -> a later row
+    # A frame holds a formula cell and a heap of (sheet, row, col, bottom), one per column of
+    # its boxes; the bottom frame holds None and the roots, each a column of one row.
+    roots = row_major(graded) if graded is not None else reference.graph.outputs
+    stack: list[tuple] = [(None, [(sheet, row, col, row) for sheet, row, col in roots])]
+    walk: list[CellAddress] = []
+    while stack:
+        cell, heap = stack[-1]
+        if not heap:  # the cells of `cell`'s references are walked
+            stack.pop()
+            walk.append(cell)
+            continue
+        sheet, row, col, bottom = heap[0]
+        column, found = jumps[sheet, col], row
+        while found in column:  # path halving: the row passed skips to its successor's target
+            after = column[found]
+            column[found] = found = column.get(after, after)
+        if found > bottom:
+            heappop(heap)
+        elif found > row:
+            heapreplace(heap, (sheet, found, col, bottom))
+        else:
+            column[row] = column.get(row + 1, row + 1)  # reached: later finds skip it
+            if row < bottom:
+                heapreplace(heap, (sheet, row + 1, col, bottom))
+            else:
+                heappop(heap)
+            address = own.get((sheet, row, col)) or CellAddress(sheet, col, row)
+            walk.append(address)
+            if address in facts:
+                columns = sorted([
+                    (sheet, top, col, bottom)
+                    for sheet, top, left, bottom, right in facts[address].boxes
+                    for col in range(left, right + 1)
+                ])
+                stack.append((address, columns))
+    return tuple(walk[:-1])  # the last is the bottom frame's None
+
+
 def match_values(
     reference: WorkbookAnalysis,
     submission: WorkbookAnalysis,
@@ -99,8 +142,10 @@ def match_values(
     is not fatal: the affected cell re-evaluates to the CYCLE error, stays
     unequal and is reported as a formula error.
     """
-    reference_grid = reference.grid
-    reference_edges = reference.graph.out_edges  # expanded once per bundle
+    key = None if graded is None else frozenset(graded)
+    if key not in reference.walks:
+        reference.walks[key] = reference_walk(reference, key)
+    reference_grid, reference_formulas = reference.grid, reference.formulas
     submission_grid = submission.grid
     dependents = submission.graph.dependents
     formula_cells, acyclic = submission.graph.formula_cells, submission.graph.acyclic_order
@@ -110,16 +155,28 @@ def match_values(
     working_sheets = set(submission.workbook.sheet_names())
     memo = dict(submission_grid)
 
-    roots = row_major(graded) if graded is not None else reference.graph.outputs
-
-    visited: set[CellAddress] = set()
+    pending: dict[CellAddress, tuple[Value, bool]] = {}  # a formula cell's first compare, until its second visit
     value_errors: list[CellAddress] = []
     formula_errors: list[CellAddress] = []
     replacements: dict[CellAddress, Value] = {}
     trace: list[Any] = []  # TraceEntry fields, flat; see MatchResult
     FIRST, AGAIN = ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
-    def re_evaluate(address: CellAddress, solution: Value, first: Value, first_ok: bool) -> None:
+    # A leaf is re-evaluated right after its first compare, a formula cell at its second visit.
+    for address in reference.walks[key]:
+        solution = reference_grid.get(address, BLANK)
+        if address in pending:
+            first, first_ok = pending.pop(address)
+        else:
+            first = submission_grid.get(address, BLANK)
+            first_ok = values_equal(solution, first, tolerance)
+            trace.extend((address, FIRST, solution, first, first_ok))
+            if not first_ok:
+                value_errors.append(address)
+            if address in reference_formulas:
+                pending[address] = (first, first_ok)
+                continue
+
         if address in cyclic:
             current = cell_value(working, working_sheets, address, memo={})
         else:
@@ -130,14 +187,11 @@ def match_values(
         # keeps the first compare's verdict.
         re_ok = first_ok if current is first else values_equal(solution, current, tolerance)
         trace.extend((address, AGAIN, solution, current, re_ok))
-        if not re_ok:
-            if not first_ok:
-                formula_errors.append(address)
-            correct(address, solution)
-
-    def correct(address: CellAddress, solution: Value) -> None:
-        working[address] = solution
-        replacements[address] = solution
+        if re_ok:
+            continue
+        if not first_ok:
+            formula_errors.append(address)
+        working[address] = replacements[address] = solution
         if address.sheet not in working_sheets:
             working_sheets.add(address.sheet)
             memo.clear()
@@ -152,37 +206,9 @@ def match_values(
                         stack.append(dependent)
         memo[address] = solution
 
-    # Post-order walk of the reference graph.  A frame holds a cell, its
-    # first compare and an iterator over its children; the bottom frame
-    # holds no cell, and its children are the roots.  A leaf, a cell
-    # without out-edges, gets no frame: it is re-evaluated right after its
-    # first compare.
-    stack: list[tuple] = [(None, None, None, None, iter(roots))]
-    while stack:
-        for address in stack[-1][4]:
-            if address in visited:
-                continue
-            visited.add(address)
-            solution = reference_grid.get(address, BLANK)
-            first = submission_grid.get(address, BLANK)
-            first_ok = values_equal(solution, first, tolerance)
-            trace.extend((address, FIRST, solution, first, first_ok))
-            if not first_ok:
-                value_errors.append(address)
-            children = reference_edges.get(address)
-            if children is not None:
-                stack.append((address, solution, first, first_ok, iter(children)))
-                break
-            re_evaluate(address, solution, first, first_ok)
-        else:
-            address, solution, first, first_ok, _ = stack.pop()
-            if stack:
-                re_evaluate(address, solution, first, first_ok)
-
     return MatchResult(
         value_errors=row_major(value_errors),
         formula_errors=row_major(formula_errors),
         replacements=replacements,
         trace_fields=trace,
     )
-

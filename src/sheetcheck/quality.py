@@ -71,7 +71,8 @@ class QualityConfig:
     overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (self.factor >= 1 and self.offset >= 0 and self.min_idiom_operands >= 2):  # NaN fails too
+        pairs = [(self.factor, self.offset), *self.overrides.values()]  # the same bounds for each; NaN fails them
+        if not (all(factor >= 1 and offset >= 0 for factor, offset in pairs) and self.min_idiom_operands >= 2):
             raise ValueError("quality thresholds out of range")
 
     def threshold(self, metric: str, reference_value: float) -> float:

