@@ -307,8 +307,8 @@ def diff_formula(
             spelling=spelling,
         )
 
-    sol_ast = reference.canonical[address]
-    sub_ast = submission.canonical[address]
+    sol_ast = reference.facts[address].canonical
+    sub_ast = submission.facts[address].canonical
     sol_ops, sol_funcs, sol_numbers, sol_texts, sol_bools = _items(sol_ast)
     sub_ops, sub_funcs, sub_numbers, sub_texts, sub_bools = _items(sub_ast)
 

@@ -79,9 +79,9 @@ class WorkbookAnalysis:
     rest is computed on first use.  `facts` maps each formula cell, in the
     order of `formulas`, to its `FormulaFacts`: its canonical form and
     what the graph, the metrics, the duplicate check and the idiom check
-    read off it.  `canonical` maps each to its canonical form alone, for
-    the formula diff.  `walks` maps graded cells, or None, to the
-    matcher's walk of the workbook as a reference.
+    read off it.  `walk` holds the matcher's walk of the workbook as a
+    reference for the graded cells it was last asked for, or None, as a
+    `(graded, walk)` pair.
 
     A submission analysed against the `reference` analysis of its task
     takes the reference's facts for each formula that is the reference's
@@ -101,7 +101,7 @@ class WorkbookAnalysis:
         self.formulas = formulas
         self.grid = grid
         self.reference = reference
-        self.walks: dict[frozenset[CellAddress] | None, tuple[CellAddress, ...]] = {}
+        self.walk: tuple[frozenset[CellAddress] | None, tuple[CellAddress, ...]] | None = None
 
     @cached_property
     def facts(self) -> dict[CellAddress, FormulaFacts]:
@@ -111,10 +111,6 @@ class WorkbookAnalysis:
             address: reference.facts[address] if known.get(address) is ast else FormulaFacts(ast)
             for address, ast in self.formulas.items()
         }
-
-    @cached_property
-    def canonical(self) -> dict[CellAddress, FormulaAst]:
-        return {address: facts.canonical for address, facts in self.facts.items()}
 
     @cached_property
     def graph(self) -> DependencyGraph:
@@ -215,7 +211,7 @@ class TaskBundle:
 def _normalize_keywords(raw: Iterable[str]) -> tuple[str, ...]:
     keywords = []
     for word in raw:
-        for token in re.findall(r"[a-z0-9]+", str(word).lower()):
+        for token in re.findall(r"[a-z0-9]+", word.lower()):
             if token not in keywords:
                 keywords.append(token)
     return tuple(keywords)
@@ -240,45 +236,35 @@ def _parse_range(text: str, sheet: str) -> tuple[CellAddress, CellAddress]:
     return start, end
 
 
-def _section(doc: Mapping[str, Any], key: str, kind: type, name: str) -> Any:
-    """`doc[key]`, or None when it is absent or null; any other type is a TaskConfigError."""
-    value = doc.get(key)
-    if value is not None and not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise TaskConfigError(f"task bundle field {name!r} must be {expected}")
-    return value
-
-
-def _known_keys(doc: Mapping[str, Any], known: Sequence[str], prefix: str = "") -> None:
-    """A TaskConfigError that names the first key of `doc` not in `known`, after `prefix`."""
-    unknown = sorted(map(str, set(doc).difference(known)))
-    if unknown:
-        raise TaskConfigError(f"unknown task bundle field {prefix + unknown[0]!r}")
-
-
-def _number(
-    doc: Mapping[str, Any], key: str, default: float, name: str, kind: type = float, least: int | None = None
+def _read(
+    value: Any, path: str, kind: Any, optional: bool = False, least: int = 0, keys: Iterable[str] = (),
+    items: type | None = None,
 ) -> Any:
-    """`doc[key]` as a finite `kind` number, `default` when absent; not below `least` when given.
+    """`value` checked as the task bundle field named `path`; a TaskConfigError names what is wrong.
 
-    The value must be a JSON number, not text or a boolean, and an integer
-    when `kind` is int.
+    `kind` is str, dict, list, int, float for any JSON number, or (str, dict)
+    for either.  A null `optional` field reads as absent: None.  A number is
+    not a boolean, is finite and then at least `least`; an object holds only
+    `keys`, a list only values of type `items`.
     """
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise TaskConfigError(f"task bundle field {name!r} must be {'an integer' if kind is int else 'a number'}")
-    if least is not None and not value >= least:  # NaN fails too
-        raise TaskConfigError(f"task bundle field {name!r} is out of range, must be at least {least}")
-    if not abs(value) <= sys.float_info.max:  # NaN, the infinities and integers past any float
-        raise TaskConfigError(f"task bundle field {name!r} must be a finite number")
-    return kind(value)
-
-
-def _text(doc: Mapping[str, Any], key: str, name: str, optional: bool = True) -> str | None:
-    """`doc[key]` as text, or None when it is absent or null and `optional`; else a TaskConfigError."""
-    value = doc.get(key)
-    if not isinstance(value, str) and not (optional and value is None):
-        raise TaskConfigError(f"task bundle field {name!r} must be text")
+    if value is None and optional:
+        return None
+    if kind is int or kind is float:
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            raise TaskConfigError(f"task bundle field {path!r} must be {'an integer' if kind is int else 'a number'}")
+        if not abs(value) <= sys.float_info.max:  # NaN, the infinities and integers past any float
+            raise TaskConfigError(f"task bundle field {path!r} must be a finite number")
+        if value < least:
+            raise TaskConfigError(f"task bundle field {path!r} is out of range, must be at least {least}")
+        return kind(value)
+    if not isinstance(value, kind):
+        expected = {str: "text", dict: "an object", list: "a list", (str, dict): "text or an object"}[kind]
+        raise TaskConfigError(f"task bundle field {path!r} must be {expected}")
+    if items is not None and not all(isinstance(item, items) for item in value):
+        raise TaskConfigError(f"task bundle field {path!r} must list {'text' if items is str else 'objects'}")
+    unknown = sorted(map(str, set(value).difference(keys))) if kind is dict else ()
+    if unknown:
+        raise TaskConfigError(f"unknown task bundle field {(path and path + '.') + unknown[0]!r}")
     return value
 
 
@@ -302,27 +288,25 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
 
     if not isinstance(doc, dict):
         raise TaskConfigError("task bundle must be an object")
-    _known_keys(doc, ("task", "reference", "tolerance", "graded_cells", "annotations", "materials", "quality"))
+    _read(doc, "", dict, keys=("task", "reference", "tolerance", "graded_cells", "annotations", "materials", "quality"))
     if "task" not in doc or "reference" not in doc:
         raise TaskConfigError("task bundle needs 'task' and 'reference' fields")
+    task = _read(doc["task"], "task", str)
 
-    reference_doc = doc["reference"]
+    reference_doc = _read(doc["reference"], "reference", (str, dict))
     if isinstance(reference_doc, str):
         reference = read_workbook((base / reference_doc).read_text(encoding="utf-8"))
     else:
         reference = workbook_from_doc(reference_doc)
     default_sheet = reference.sheets[0].name if reference.sheets else "Sheet1"
 
-    tolerance_doc = _section(doc, "tolerance", dict, "tolerance") or {}
-    _known_keys(tolerance_doc, ("abs", "rel"), "tolerance.")
+    tolerance_doc = _read(doc.get("tolerance"), "tolerance", dict, True, keys=("abs", "rel")) or {}
     tolerance = Tolerance(
-        abs=_number(tolerance_doc, "abs", DEFAULT_TOLERANCE.abs, "tolerance.abs", least=0),
-        rel=_number(tolerance_doc, "rel", DEFAULT_TOLERANCE.rel, "tolerance.rel", least=0),
+        abs=_read(tolerance_doc.get("abs", DEFAULT_TOLERANCE.abs), "tolerance.abs", float),
+        rel=_read(tolerance_doc.get("rel", DEFAULT_TOLERANCE.rel), "tolerance.rel", float),
     )
 
-    graded_doc = _section(doc, "graded_cells", list, "graded_cells")
-    if graded_doc is not None and not all(isinstance(text, str) for text in graded_doc):
-        raise TaskConfigError("task bundle field 'graded_cells' must list cell addresses as text")
+    graded_doc = _read(doc.get("graded_cells"), "graded_cells", list, True, items=str)
     try:
         graded = (
             frozenset(parse_address(text, default_sheet) for text in graded_doc)
@@ -333,52 +317,43 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
         raise TaskConfigError(f"bad graded cell address: {exc}") from exc
 
     annotations = []
-    for entry in _section(doc, "annotations", list, "annotations") or ():
-        if not isinstance(entry, dict) or not all(isinstance(entry.get(key), str) for key in ("range", "text")):
-            raise TaskConfigError(f"annotation needs text 'range' and 'text' fields: {entry!r}")
-        _known_keys(entry, ("range", "text", "link"), "annotations.")
-        start, end = _parse_range(entry["range"], default_sheet)
-        annotations.append(Annotation(start, end, entry["text"], _text(entry, "link", "annotations.link")))
+    for entry in _read(doc.get("annotations"), "annotations", list, True, items=dict) or ():
+        _read(entry, "annotations", dict, keys=("range", "text", "link"))
+        start, end = _parse_range(_read(entry.get("range"), "annotations.range", str), default_sheet)
+        text = _read(entry.get("text"), "annotations.text", str)
+        annotations.append(Annotation(start, end, text, _read(entry.get("link"), "annotations.link", str, True)))
 
     materials = []
-    for entry in _section(doc, "materials", list, "materials") or ():
-        if not isinstance(entry, dict) or "title" not in entry:
-            raise TaskConfigError(f"material needs a 'title' field: {entry!r}")
-        _known_keys(entry, ("title", "keywords", "ref"), "materials.")
-        title = _text(entry, "title", "materials.title", optional=False)
-        keywords = _normalize_keywords(_section(entry, "keywords", list, "materials.keywords") or ())
+    for entry in _read(doc.get("materials"), "materials", list, True, items=dict) or ():
+        _read(entry, "materials", dict, keys=("title", "keywords", "ref"))
+        title = _read(entry.get("title"), "materials.title", str)
+        keywords = _normalize_keywords(_read(entry.get("keywords"), "materials.keywords", list, True, items=str) or ())
         if not keywords:
             raise TaskConfigError(f"material {title!r} has no usable keywords")
-        materials.append(MaterialEntry(title, keywords, _text(entry, "ref", "materials.ref")))
+        materials.append(MaterialEntry(title, keywords, _read(entry.get("ref"), "materials.ref", str, True)))
 
-    quality_doc = _section(doc, "quality", dict, "quality") or {}
-    _known_keys(quality_doc, ("factor", "offset", "min_idiom_operands", "overrides"), "quality.")
-    factor = _number(quality_doc, "factor", 1.5, "quality.factor", least=1)
-    offset = _number(quality_doc, "offset", 1.0, "quality.offset", least=0)
-    overrides_doc = _section(quality_doc, "overrides", dict, "quality.overrides") or {}
-    _known_keys(overrides_doc, COMPARED_METRICS, "quality.overrides.")
-    overrides = {}
-    for metric in overrides_doc:
-        name = f"quality.overrides.{metric}."
-        values = _section(overrides_doc, metric, dict, name[:-1]) or {}
-        _known_keys(values, ("factor", "offset"), name)
-        overrides[metric] = (
-            _number(values, "factor", factor, name + "factor"),
-            _number(values, "offset", offset, name + "offset"),
+    quality_keys = ("factor", "offset", "min_idiom_operands", "overrides")
+    quality_doc = _read(doc.get("quality"), "quality", dict, True, keys=quality_keys) or {}
+
+    def thresholds(values: Mapping[str, Any], path: str, factor: float, offset: float) -> tuple[float, float]:
+        """`values`' factor and offset, defaulting to the given ones; the bounds are the same at each level."""
+        return (
+            _read(values.get("factor", factor), path + ".factor", float, least=1),
+            _read(values.get("offset", offset), path + ".offset", float),
         )
-        # The top-level bounds, checked after a NaN is reported as not finite.
-        for key, value, least in zip(("factor", "offset"), overrides[metric], (1, 0)):
-            if not value >= least:
-                raise TaskConfigError(f"task bundle field {name + key!r} is out of range, must be at least {least}")
-    quality = QualityConfig(
-        factor=factor,
-        offset=offset,
-        min_idiom_operands=_number(quality_doc, "min_idiom_operands", 3, "quality.min_idiom_operands", int, least=2),
-        overrides=overrides,
-    )
+
+    factor, offset = thresholds(quality_doc, "quality", QualityConfig.factor, QualityConfig.offset)
+    overrides_doc = _read(quality_doc.get("overrides"), "quality.overrides", dict, True, keys=COMPARED_METRICS) or {}
+    overrides = {}
+    for metric, values in overrides_doc.items():
+        path = f"quality.overrides.{metric}"
+        values = _read(values, path, dict, True, keys=("factor", "offset")) or {}
+        overrides[metric] = thresholds(values, path, factor, offset)
+    operands = quality_doc.get("min_idiom_operands", QualityConfig.min_idiom_operands)
+    quality = QualityConfig(factor, offset, _read(operands, "quality.min_idiom_operands", int, least=2), overrides)
 
     bundle = TaskBundle(
-        task=_text(doc, "task", "task", optional=False),
+        task=task,
         reference=reference,
         tolerance=tolerance,
         graded=graded,

@@ -10,10 +10,10 @@ and its working-copy entry is overwritten with the reference value so that
 errors it propagated do not count against the cells downstream.
 
 The walk depends on the reference and the graded cells alone:
-`reference_walk` lists it once per reference and graded cells, and each
-match replays the list.  A map per column from a reached row to a later
-row skips the cells already reached without reading them, so a running
-total is walked in linear time.
+`reference_walk` lists it, the reference keeps the list for the graded
+cells last asked for, and each match replays it.  A map per column from
+a reached row to a later row skips the cells already reached without
+reading them, so a running total is walked in linear time.
 
 Re-evaluation reads one working memo seeded from the submission's grid,
 so a cell that no correction reaches costs a lookup.  A correction
@@ -143,8 +143,8 @@ def match_values(
     unequal and is reported as a formula error.
     """
     key = None if graded is None else frozenset(graded)
-    if key not in reference.walks:
-        reference.walks[key] = reference_walk(reference, key)
+    if reference.walk is None or reference.walk[0] != key:
+        reference.walk = (key, reference_walk(reference, key))
     reference_grid, reference_formulas = reference.grid, reference.formulas
     submission_grid = submission.grid
     dependents = submission.graph.dependents
@@ -163,7 +163,7 @@ def match_values(
     FIRST, AGAIN = ComparePhase.FIRST_COMPARE, ComparePhase.RE_EVALUATE
 
     # A leaf is re-evaluated right after its first compare, a formula cell at its second visit.
-    for address in reference.walks[key]:
+    for address in reference.walk[1]:
         solution = reference_grid.get(address, BLANK)
         if address in pending:
             first, first_ok = pending.pop(address)

@@ -197,8 +197,8 @@ def diff_formula(
             spelling=spelling,
         )
 
-    sol_ast = reference.canonical[address]
-    sub_ast = submission.canonical[address]
+    sol_ast = reference.facts[address].canonical
+    sub_ast = submission.facts[address].canonical
 
     # Stage 1: operators and surviving function names.
     sol_ops, sol_funcs = _operators_and_functions(sol_ast)

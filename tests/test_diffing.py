@@ -396,7 +396,8 @@ def _unevaluated(workbook):
     if not report.ok:
         return None
     analysis = WorkbookAnalysis(workbook, formulas, {})
-    analysis.canonical  # noqa: B018 - built before a count of the diff's own work
+    for facts in analysis.facts.values():
+        facts.canonical  # noqa: B018 - built before a count of the diff's own work
     return analysis
 
 

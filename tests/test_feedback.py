@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -34,6 +36,7 @@ from sheetcheck.feedback import _METRIC_LABELS
 from sheetcheck.formulas import Binary, CellRef, FuncCall, RangeRef, Unary
 from sheetcheck.quality import COMPARED_METRICS
 
+from bundle_schema import VALIDATOR
 from conftest import addr, examples, fill_down_cells, make_workbook, python_calls, range_sum_cells
 from genwb import WorkbookGen, mutate_one_formula
 
@@ -64,20 +67,28 @@ def _differing(bundle, submission):
     return [ast for address, ast in formulas.items() if reference.get(address) is not ast]
 
 
+def _read_reference(bundle, submission, report):
+    """The reference formulas a first report reads canonical forms of: its own at the submission's cells and the diffed."""
+    formulas, _ = parse_workbook(submission, bundle.parsed_sources)
+    reference = bundle.reference_analysis.formulas
+    diffed = {d.cell for d in _formula_errors(report)}
+    return [ast for address, ast in reference.items() if formulas.get(address) is ast or address in diffed]
+
+
 def test_level_7_canonicalizes_each_submission_formula_once(grades, monkeypatch):
     # A formula that is the reference's AST at its cell is canonicalized
-    # once per bundle, any other once per report.
+    # once per bundle, any other once per report; a reference formula
+    # only when a report reads it.
     import dataclasses
 
     import sheetcheck.quality as quality
 
     bundle = dataclasses.replace(grades.bundle)  # nothing cached yet
-    reference = list(bundle.reference_analysis.formulas.values())
     differing = _differing(bundle, grades.submission)
     calls = _counting(monkeypatch, "canonicalize", quality)
-    generate_feedback(bundle, grades.submission, 7, force_quality=True)
+    report = generate_feedback(bundle, grades.submission, 7, force_quality=True)
     assert 0 < len(differing) < len(grades.submission.formula_items())
-    assert Counter(calls) == Counter(reference) + Counter(differing)
+    assert Counter(calls) == Counter(_read_reference(bundle, grades.submission, report)) + Counter(differing)
 
 
 @pytest.mark.parametrize("level", range(1, 8))
@@ -192,11 +203,10 @@ def test_a_second_report_canonicalizes_no_reference_formula(grades, monkeypatch)
     import sheetcheck.quality as quality
 
     bundle = dataclasses.replace(grades.bundle)  # nothing cached yet
-    reference = list(bundle.reference_analysis.formulas.values())
     differing = _differing(bundle, grades.submission)
     calls = _counting(monkeypatch, "canonicalize", diffing, quality)
-    generate_feedback(bundle, grades.submission, 6)
-    assert Counter(calls) == Counter(reference) + Counter(differing)
+    report = generate_feedback(bundle, grades.submission, 6)
+    assert Counter(calls) == Counter(_read_reference(bundle, grades.submission, report)) + Counter(differing)
     calls.clear()
     assert _formula_errors(generate_feedback(bundle, grades.submission, 6))
     assert 0 < len(calls) < len(grades.submission.formula_items()) and Counter(calls) == Counter(differing)
@@ -432,6 +442,7 @@ def test_bundle_roundtrip(grades):
     assert reloaded.annotations == grades.bundle.annotations
     assert reloaded.materials == grades.bundle.materials
     assert dump_bundle(reloaded) == dumped
+    assert VALIDATOR.is_valid(json.loads(dumped))
 
 
 def test_bundle_rejects_unknown_field():
@@ -501,7 +512,8 @@ def test_bundle_rejects_nan_thresholds(field, value):
     # A NaN tolerance would make every numeric comparison, even of the
     # reference against itself, unequal.
     doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
-    with pytest.raises(ValueError, match="non-negative|out of range"):
+    name = re.escape(f"{field}.{next(iter(value))}")
+    with pytest.raises(TaskConfigError, match=f"^task bundle field '{name}' must be a finite number$"):
         load_bundle(doc)
 
 
@@ -624,6 +636,14 @@ def test_bundle_unknown_nested_field_is_config_error(field, value, name):
         ),
         ("task", {"a": [1]}, "task", "must be text"),
         ("task", None, "task", "must be text"),
+        ("materials", [{"title": "m", "keywords": [5, {"a": [1]}, None]}], "materials.keywords", "must list text"),
+        ("materials", [{"title": "m", "keywords": ["none", None]}], "materials.keywords", "must list text"),
+        ("materials", [None], "materials", "must list objects"),
+        ("annotations", ["A1"], "annotations", "must list objects"),
+        ("graded_cells", ["A1", 2], "graded_cells", "must list text"),
+        ("reference", 5, "reference", "must be text or an object"),
+        ("reference", None, "reference", "must be text or an object"),
+        ("reference", [1], "reference", "must be text or an object"),
     ],
 )
 def test_bundle_field_of_the_wrong_type_is_config_error(field, value, name, message):
@@ -646,6 +666,131 @@ def test_dumped_bundle_with_every_nested_field_loads():
     reloaded = load_bundle(json.loads(dumped))
     assert reloaded.quality.overrides == {"operand_total": (3.0, 0.0)}
     assert dump_bundle(reloaded) == dumped
+    assert VALIDATOR.is_valid(doc) and VALIDATOR.is_valid(json.loads(dumped))
+
+
+def test_readme_example_bundle_validates_and_loads():
+    from pathlib import Path
+
+    import sheetcheck
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Task bundle format\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert VALIDATOR.is_valid(doc)
+    bundle = load_bundle(doc, Path(sheetcheck.__file__).resolve().parent / "data" / "grades")
+    assert bundle.task == "grades" and bundle.materials[0].keywords == ("avg", "average", "mean")
+
+
+# Documents for the schema property.  Each pool of addresses, ranges,
+# keywords and references holds values the loader's semantic checks accept
+# and values they reject; the accepted ones are named here.  The schema's
+# rejections come from the mutations: a value from `_REPLACEMENTS`, each
+# JSON type with numbers out of range or not finite, an unknown field or a
+# deleted one.
+_GOOD_CELLS = ("A1", "S!B2", "C3")
+_GOOD_RANGES = ("A1", "B2:C3", "C3:B2", "S!A1:B2")
+_GOOD_KEYWORDS = ("avg", "Mean.", "x")
+_GOOD_REFERENCE = {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1, "B1": "=A1*2", "A2": "Avg"}}]}
+_REFERENCES = (
+    _GOOD_REFERENCE,
+    {"name": "r", "sheets": [{"name": "S", "cells": {"A1": "=1+"}}]},
+    {"name": "r", "sheets": [{"name": "S", "cells": {"A1": "=B1", "B1": "=A1"}}]},
+)
+_REPLACEMENTS = (0, -1, 0.5, 2.0, 2.5, math.nan, math.inf, -math.inf, 10**400, None, True, "x", [], ["x"], [1], {}, {"a": 1})
+
+_text = st.sampled_from(("t", "x", "a note"))
+_least_0 = st.sampled_from((0, 1e-9, 2))
+_least_1 = st.sampled_from((1, 1.5))
+_thresholds = st.fixed_dictionaries({"factor": _least_1, "offset": _least_0})
+# Every field is there; the mutations below make fields absent or null.
+_documents = st.fixed_dictionaries(
+    {
+        "task": _text,
+        "reference": st.just(_GOOD_REFERENCE) | st.sampled_from(_REFERENCES),
+        "tolerance": st.fixed_dictionaries({"abs": _least_0, "rel": _least_0}),
+        "graded_cells": st.lists(st.sampled_from(_GOOD_CELLS + ("A0",)), max_size=2),
+        "annotations": st.lists(
+            st.fixed_dictionaries(
+                {"range": st.sampled_from(_GOOD_RANGES + ("A1:B2:C3", "A1:T!B2")), "text": _text, "link": _text}
+            ),
+            max_size=2,
+        ),
+        "materials": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "title": _text,
+                    "keywords": st.lists(st.sampled_from(_GOOD_KEYWORDS + ("...",)), min_size=1, max_size=3),
+                    "ref": _text,
+                }
+            ),
+            max_size=2,
+        ),
+        "quality": st.fixed_dictionaries(
+            {
+                "factor": _least_1,
+                "offset": _least_0,
+                "min_idiom_operands": st.sampled_from((2, 5)),
+                "overrides": st.dictionaries(st.sampled_from(COMPARED_METRICS), _thresholds, max_size=2),
+            }
+        ),
+    }
+)
+
+
+def _places(value):
+    """Each (container, key) pair inside a document's objects and lists, depth first."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+    for key in keys:
+        yield value, key
+        yield from _places(value[key])
+
+
+@st.composite
+def _bundle_documents(draw):
+    """A bundle document with up to four values replaced, fields added or fields deleted."""
+    doc = copy.deepcopy(draw(_documents))
+    for mutation in draw(st.lists(st.sampled_from(("replace", "add", "delete")), max_size=4)):
+        # The nested places first: Hypothesis draws the first of a list more often.
+        places = [place for key, value in doc.items() if key != "reference" for place in _places(value)]
+        places += [(doc, key) for key in doc]
+        if mutation == "replace":
+            container, key = draw(st.sampled_from(places))
+            values = _REPLACEMENTS
+            if container is doc and key == "reference":  # text is a file path and an object a workbook
+                values = tuple(value for value in values if not isinstance(value, (str, dict)))
+            container[key] = copy.deepcopy(draw(st.sampled_from(values)))
+        elif mutation == "add":
+            objects = [c[k] for c, k in places if isinstance(c[k], dict) and c[k] is not doc.get("reference")]
+            draw(st.sampled_from(objects + [doc]))["surprise"] = 1
+        elif places:
+            container, key = draw(st.sampled_from([(c, k) for c, k in places if isinstance(c, dict)] or [(doc, "task")]))
+            container.pop(key, None)
+    return doc
+
+
+def _passes_semantic_checks(doc):
+    """For a document the schema accepts: its addresses, ranges, keywords and reference are usable."""
+    return (
+        doc["reference"] == _GOOD_REFERENCE
+        and all(text in _GOOD_CELLS for text in doc.get("graded_cells") or ())
+        and all(entry["range"] in _GOOD_RANGES for entry in doc.get("annotations") or ())
+        and all(
+            any(word in _GOOD_KEYWORDS for word in entry.get("keywords") or ()) for entry in doc.get("materials") or ()
+        )
+    )
+
+
+@given(_bundle_documents())
+@settings(max_examples=examples(300), deadline=None)
+def test_load_bundle_accepts_exactly_what_the_schema_and_the_semantic_checks_accept(doc):
+    accepted = VALIDATOR.is_valid(doc) and _passes_semantic_checks(doc)
+    try:
+        load_bundle(doc)
+    except TaskConfigError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_integration_extras_and_spelling_hints():

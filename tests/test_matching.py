@@ -576,7 +576,7 @@ def test_the_walk_is_built_at_the_first_report_and_kept_with_the_bundle(monkeypa
     monkeypatch.setattr(matching, "reference_walk", recording)
     fixture = load_fixture("grades")
     reference = fixture.bundle.reference_analysis
-    assert built == [] and reference.walks == {}  # loading the bundle builds no walk
+    assert built == [] and reference.walk is None  # loading the bundle builds no walk
     first = generate_feedback(fixture.bundle, fixture.submission, 6)
     assert generate_feedback(fixture.bundle, fixture.submission, 6) == first
     assert built == [fixture.bundle.graded]
@@ -585,6 +585,11 @@ def test_the_walk_is_built_at_the_first_report_and_kept_with_the_bundle(monkeypa
     match_values(reference, submission, graded={addr("D6")})
     match_values(reference, submission, graded=frozenset({addr("D6")}))
     assert built == [fixture.bundle.graded, frozenset({addr("D6")})]
+    # Only the walk of the last graded cells is held; the bundle's is built again.
+    assert reference.walk == (frozenset({addr("D6")}), walk(reference, frozenset({addr("D6")})))
+    assert generate_feedback(fixture.bundle, fixture.submission, 6) == first
+    assert reference.walk[0] == fixture.bundle.graded
+    assert built == [fixture.bundle.graded, frozenset({addr("D6")}), fixture.bundle.graded]
 
 
 def _running_total(n):
