@@ -71,10 +71,14 @@ ORACLE_CASES = [
     ("round_integer_unchanged", {"A1": "=ROUND(2,0)"}, "A1", n(2)),
     ("round_error_propagates", {"A1": "=ROUND(1/0,2)"}, "A1", DIV_ZERO),
     ("round_arity_violation", {"A1": "=ROUND(1)"}, "A1", BAD_VALUE),
+    ("round_text_is_bad_value", {"A1": '=ROUND("a",1)'}, "A1", BAD_VALUE),
+    ("round_text_digits_is_bad_value", {"A1": '=ROUND(1,"a")'}, "A1", BAD_VALUE),
     # ---- ABS
     ("abs_negative", {"A1": "=ABS(-3)"}, "A1", n(3)),
     ("abs_positive", {"A1": "=ABS(2.5)"}, "A1", n(2.5)),
     ("abs_blank_is_zero", {"A1": "=ABS(B9)"}, "A1", n(0)),
+    ("abs_text_is_bad_value", {"A1": '=ABS("a")'}, "A1", BAD_VALUE),
+    ("abs_arity_violation", {"A1": "=ABS(1,2)"}, "A1", BAD_VALUE),
     # ---- operators
     ("divide_by_zero", {"A1": "=1/0"}, "A1", DIV_ZERO),
     ("blank_coerces_in_addition", {"A1": "=B9+1"}, "A1", n(1)),
@@ -98,6 +102,34 @@ ORACLE_CASES = [
     ("bool_coerces_in_arithmetic", {"A1": "=TRUE+1"}, "A1", n(2)),
     ("unary_minus_on_blank", {"A1": "=-B9"}, "A1", n(0)),
     ("bare_range_is_bad_value", {"A1": "=B1:B2+1", "B1": 1, "B2": 2}, "A1", BAD_VALUE),
+    ("power_overflow_is_bad_value", {"A1": "=10^400"}, "A1", BAD_VALUE),
+    # ---- comparisons: ordering on equal values
+    ("less_than_equal_numbers", {"A1": "=2<2"}, "A1", Boolean(False)),
+    ("less_or_equal_equal_numbers", {"A1": "=2<=2"}, "A1", Boolean(True)),
+    ("greater_than_equal_numbers", {"A1": "=2>2"}, "A1", Boolean(False)),
+    ("greater_or_equal_equal_numbers", {"A1": "=2>=2"}, "A1", Boolean(True)),
+    ("greater_or_equal_equal_texts", {"A1": '="b">="b"'}, "A1", Boolean(True)),
+    # ---- comparisons: "=" is exact and case-sensitive, unlike values_equal
+    ("text_equality_is_case_sensitive", {"A1": '="a"="A"'}, "A1", Boolean(False)),
+    ("text_equality_does_not_trim", {"A1": '="a "="a"'}, "A1", Boolean(False)),
+    # ---- comparisons: booleans
+    ("boolean_equality", {"A1": "=TRUE=TRUE"}, "A1", Boolean(True)),
+    ("boolean_inequality", {"A1": "=TRUE<>FALSE"}, "A1", Boolean(True)),
+    ("boolean_order_is_bad_value", {"A1": "=TRUE<FALSE"}, "A1", BAD_VALUE),
+    # ---- comparisons: Blank reads as 0 or "" against a number or a text
+    ("blank_equals_blank", {"A1": "=B8=B9"}, "A1", Boolean(True)),
+    ("blank_is_not_a_boolean", {"A1": "=B9=TRUE"}, "A1", Boolean(False)),
+    ("blank_equals_empty_text", {"A1": '=B9=""'}, "A1", Boolean(True)),
+    ("blank_orders_as_empty_text", {"A1": '=B9<"a"'}, "A1", Boolean(True)),
+    ("blank_on_the_right_reads_as_zero", {"A1": "=5=B9"}, "A1", Boolean(False)),
+    ("blank_order_against_blank_is_bad_value", {"A1": "=B9<B8"}, "A1", BAD_VALUE),
+    # ---- comparisons: values of different variants are unequal
+    ("number_is_not_its_text", {"A1": '=1="1"'}, "A1", Boolean(False)),
+    ("boolean_is_not_a_number", {"A1": "=TRUE=1"}, "A1", Boolean(False)),
+    # ---- the left operand's error wins
+    ("comparison_left_error_wins", {"A1": "=1/0<Missing!A1"}, "A1", DIV_ZERO),
+    ("comparison_right_side_left_error_wins", {"A1": "=Missing!A1<1/0"}, "A1", BAD_REF),
+    ("concat_left_error_wins", {"A1": "=1/0&Missing!A1"}, "A1", DIV_ZERO),
     # ---- nesting and ranges over formulas
     ("range_over_formula_cells", {"A1": "=SUM(A2:A3)", "A2": "=1+1", "A3": 4}, "A1", n(6)),
     ("nested_functions", {"A1": "=ROUND(SUM(1,2,0.125),2)"}, "A1", n(3.13)),

@@ -2,6 +2,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcheck import (
     BLANK,
@@ -19,7 +20,7 @@ from sheetcheck.evaluate import CYCLE, DIV_ZERO, cell_value, checked_formulas, e
 from sheetcheck.feedback import analyze
 from sheetcheck.formulas import parse_formula, parse_workbook
 
-from conftest import addr, fill_down_cells, make_workbook, python_calls, range_sum_cells, texts
+from conftest import addr, examples, fill_down_cells, make_workbook, python_calls, range_sum_cells, texts
 from genwb import GenConfig, WorkbookGen
 from oracle_cases import ORACLE_CASES
 
@@ -120,12 +121,51 @@ def test_values_equal_relative_tolerance():
     assert not values_equal(Number(100.0), Number(102.0), tolerance)
 
 
+def test_values_equal_at_the_tolerance_bound():
+    # Differences of exactly the bound, in binary-exact numbers, are equal.
+    assert values_equal(Number(1.0), Number(1.5), Tolerance(abs=0.5, rel=0.0))
+    assert values_equal(Number(1.0), Number(2.0), Tolerance(abs=0.0, rel=0.5))
+    assert not values_equal(Number(1.0), Number(1.75), Tolerance(abs=0.5, rel=0.0))
+
+
+@pytest.mark.parametrize("bounds", ({"abs": -1.0}, {"rel": -1.0}), ids=("abs", "rel"))
+def test_negative_tolerance_is_refused(bounds):
+    with pytest.raises(ValueError, match="non-negative"):
+        Tolerance(**bounds)
+
+
 def test_values_equal_reflexive_and_symmetric_samples():
     samples = [BLANK, Number(1.5), Text("x"), Boolean(False), CellError(ErrorKind.BAD_REF)]
     for a in samples:
         assert values_equal(a, a)
         for b in samples:
             assert values_equal(a, b) == values_equal(b, a)
+
+
+# ---------------------------------------------------------------- operator relations
+
+# Error-free operands of every variant; small integers and a small alphabet
+# make equal pairs common.
+_operands = st.one_of(
+    st.just(BLANK),
+    st.builds(Number, st.integers(-2, 2).map(float) | st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Text, st.text("aAb ", max_size=2)),
+    st.builds(Boolean, st.booleans()),
+)
+
+
+def _compare(op, a, b):
+    values = {addr("B1"): a, addr("B2"): b}
+    return evaluate_ast(parse_formula(f"=B1{op}B2"), values)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(_operands, _operands)
+def test_operator_relations_are_converse_and_complementary(a, b):
+    assert _compare("<", a, b) == _compare(">", b, a)
+    assert _compare("<=", a, b) == _compare(">=", b, a)
+    assert _compare("=", a, b) == _compare("=", b, a)
+    assert _compare("=", a, b) == Boolean(not _compare("<>", a, b).value)
 
 
 # ---------------------------------------------------------------- determinism
