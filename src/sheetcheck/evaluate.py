@@ -11,6 +11,7 @@ would produce NaN or infinity yields the BAD_VALUE error instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -84,13 +85,7 @@ def values_equal(a: Value, b: Value, tolerance: Tolerance = DEFAULT_TOLERANCE) -
         return a.value == b.value or tolerance.close(a.value, b.value)
     if isinstance(a, Text) and isinstance(b, Text):
         return a.value.strip() == b.value.strip()
-    if isinstance(a, Boolean) and isinstance(b, Boolean):
-        return a.value is b.value
-    if isinstance(a, CellError) and isinstance(b, CellError):
-        return a.kind is b.kind
-    if isinstance(a, Blank) and isinstance(b, Blank):
-        return True
-    return False
+    return a == b
 
 
 # --------------------------------------------------------------------------
@@ -219,92 +214,49 @@ def apply_function(name: str, args: list[Value]) -> Value:
 # --------------------------------------------------------------------------
 
 
-def _as_text(value: Value) -> str | CellError:
-    if isinstance(value, CellError):
-        return value
-    return format_value(value)
+_ARITHMETIC = {
+    BinOp.ADD: operator.add,
+    BinOp.SUB: operator.sub,
+    BinOp.MUL: operator.mul,
+    BinOp.DIV: operator.truediv,
+    BinOp.POW: operator.pow,
+}
+_ORDER = {BinOp.LT: operator.lt, BinOp.LE: operator.le, BinOp.GT: operator.gt, BinOp.GE: operator.ge}
+_BLANK_AS = {Number: Number(0.0), Text: Text("")}  # Blank against a number or a text in a comparison
 
 
-def _arithmetic(op: BinOp, left: Value, right: Value) -> Value:
-    a = _as_number(left)
-    if isinstance(a, CellError):
-        return a
-    b = _as_number(right)
-    if isinstance(b, CellError):
-        return b
-    if op is BinOp.ADD:
-        return _number_value(a + b)
-    if op is BinOp.SUB:
-        return _number_value(a - b)
-    if op is BinOp.MUL:
-        return _number_value(a * b)
-    if op is BinOp.DIV:
-        if b == 0.0:
+def _binary(op: BinOp, left: Value, right: Value) -> Value:
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+        a = _as_number(left)
+        if isinstance(a, CellError):
+            return a
+        b = _as_number(right)
+        if isinstance(b, CellError):
+            return b
+        try:
+            return _number_value(arithmetic(a, b))
+        except ZeroDivisionError:
             return DIV_ZERO
-        return _number_value(a / b)
-    try:
-        return _number_value(a ** b)
-    except ZeroDivisionError:
-        return DIV_ZERO
-    except (OverflowError, ValueError):
-        return BAD_VALUE
-
-
-def _promote_blank(a: Value, b: Value) -> tuple[Value, Value]:
-    if isinstance(a, Blank) and isinstance(b, Number):
-        return Number(0.0), b
-    if isinstance(b, Blank) and isinstance(a, Number):
-        return a, Number(0.0)
-    if isinstance(a, Blank) and isinstance(b, Text):
-        return Text(""), b
-    if isinstance(b, Blank) and isinstance(a, Text):
-        return a, Text("")
-    return a, b
-
-
-def _comparison(op: BinOp, left: Value, right: Value) -> Value:
+        except (OverflowError, ValueError):
+            return BAD_VALUE
     if isinstance(left, CellError):
         return left
     if isinstance(right, CellError):
         return right
-    a, b = _promote_blank(left, right)
-    same_variant = type(a) is type(b)
-    if op in (BinOp.EQ, BinOp.NE):
-        if isinstance(a, Blank) and isinstance(b, Blank):
-            equal = True
-        elif not same_variant:
-            equal = False
-        elif isinstance(a, Number):
-            equal = a.value == b.value  # type: ignore[union-attr]
-        elif isinstance(a, Text):
-            equal = a.value == b.value  # type: ignore[union-attr]
-        else:
-            equal = a.value is b.value  # type: ignore[union-attr]
-        return Boolean(equal if op is BinOp.EQ else not equal)
-    if not same_variant or not isinstance(a, (Number, Text)):
-        return BAD_VALUE
-    x, y = a.value, b.value  # type: ignore[union-attr]
-    if op is BinOp.LT:
-        return Boolean(x < y)
-    if op is BinOp.LE:
-        return Boolean(x <= y)
-    if op is BinOp.GT:
-        return Boolean(x > y)
-    return Boolean(x >= y)
-
-
-def _binary(op: BinOp, left: Value, right: Value) -> Value:
-    if op in (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV, BinOp.POW):
-        return _arithmetic(op, left, right)
     if op is BinOp.CONCAT:
-        a = _as_text(left)
-        if isinstance(a, CellError):
-            return a
-        b = _as_text(right)
-        if isinstance(b, CellError):
-            return b
-        return Text(a + b)
-    return _comparison(op, left, right)
+        return Text(format_value(left) + format_value(right))
+    if type(left) is Blank:
+        left = _BLANK_AS.get(type(right), left)
+    elif type(right) is Blank:
+        right = _BLANK_AS.get(type(left), right)
+    if op is BinOp.EQ:
+        return Boolean(left == right)  # the values' own equality: other variants are unequal
+    if op is BinOp.NE:
+        return Boolean(left != right)
+    if type(left) is not type(right) or type(left) not in _BLANK_AS:
+        return BAD_VALUE  # ordering is within numbers or within texts only
+    return Boolean(_ORDER[op](left.value, right.value))  # type: ignore[union-attr]
 
 
 _Resolver = Callable[[CellAddress], Value]

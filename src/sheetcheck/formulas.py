@@ -83,6 +83,7 @@ class BinOp(Enum):
     LE = "<="
     GT = ">"
     GE = ">="
+    __hash__ = object.__hash__  # members are singletons: operator tables look them up without a Python call
 
     @property
     def symbol(self) -> str:
