@@ -190,9 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as exc:  # I/O, format, configuration and capacity errors
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -34,9 +35,9 @@ from .grid import (
     CellAddress,
     CellError,
     ErrorKind,
-    Text,
     Value,
     Workbook,
+    WorkbookFormatError,
     dump_json,
     format_number,
     parse_address,
@@ -294,10 +295,13 @@ def load_bundle(source: str | Path | Mapping[str, Any], base_dir: str | Path | N
     task = _read(doc["task"], "task", str)
 
     reference_doc = _read(doc["reference"], "reference", (str, dict))
-    if isinstance(reference_doc, str):
-        reference = read_workbook((base / reference_doc).read_text(encoding="utf-8"))
-    else:
-        reference = workbook_from_doc(reference_doc)
+    try:
+        if isinstance(reference_doc, str):
+            reference = read_workbook((base / reference_doc).read_text(encoding="utf-8"))
+        else:
+            reference = workbook_from_doc(reference_doc)
+    except WorkbookFormatError as exc:  # the bundle's reference is part of its configuration
+        raise TaskConfigError(str(exc)) from exc
     default_sheet = reference.sheets[0].name if reference.sheets else "Sheet1"
 
     tolerance_doc = _read(doc.get("tolerance"), "tolerance", dict, True, keys=("abs", "rel")) or {}
@@ -530,19 +534,15 @@ def quality_messages(findings: Sequence[QualityFinding], qualify: bool) -> list[
 
 def header_context(reference: Workbook, cell: CellAddress) -> tuple[str | None, str | None]:
     """Nearest text constants strictly above and strictly left of a cell."""
-    column_header = None
-    for row in range(cell.row - 1, 0, -1):
-        content = reference.content(CellAddress(cell.sheet, cell.col, row))
-        if isinstance(content, Text):
-            column_header = content.value
-            break
-    row_header = None
-    for col in range(cell.col - 1, 0, -1):
-        content = reference.content(CellAddress(cell.sheet, col, cell.row))
-        if isinstance(content, Text):
-            row_header = content.value
-            break
-    return column_header, row_header
+    columns, rows = reference.text_lines
+    above = _last_before(columns.get((cell.sheet, cell.col), ()), cell.row)
+    return above, _last_before(rows.get((cell.sheet, cell.row), ()), cell.col)
+
+
+def _last_before(line: Sequence[tuple[int, str]], position: int) -> str | None:
+    """The text of the last (position, text) pair of a sorted line that lies before `position`."""
+    index = bisect_left(line, (position,))
+    return line[index - 1][1] if index else None
 
 
 def lookup_annotations(

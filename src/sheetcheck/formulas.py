@@ -254,8 +254,6 @@ def _tokenize(source: str, offset: int) -> list[_Token]:
         if not match:
             raise FormulaSyntaxError(f"unexpected character {source[pos]!r}", offset + pos)
         kind = match.lastgroup or ""
-        if kind == "CROW":  # lastgroup reports the innermost named group
-            kind = "CELLREF"
         if kind != "WS":
             parts: tuple[str, ...] = ()
             if kind == "CELLREF":

@@ -26,6 +26,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
@@ -247,6 +248,22 @@ class Workbook:
         """Cell content at `address`; absent addresses read as Blank."""
         s = self.sheet(address.sheet)
         return s.cells.get(address, BLANK) if s else BLANK
+
+    @cached_property
+    def text_lines(self) -> tuple[dict[tuple[str, int], list[tuple[int, str]]], ...]:
+        """The text cells by column and by row, computed on first use.
+
+        The first map takes (sheet, column) to the (row, text) pair of each
+        text cell in that column, in row order; the second takes (sheet, row)
+        to the (column, text) pairs of that row, in column order.
+        """
+        columns: dict[tuple[str, int], list[tuple[int, str]]] = {}
+        rows: dict[tuple[str, int], list[tuple[int, str]]] = {}
+        for s in self.sheets:
+            for (sheet, row, col), text in sorted([(a, c.value) for a, c in s.cells.items() if type(c) is Text]):
+                columns.setdefault((sheet, col), []).append((row, text))
+                rows.setdefault((sheet, row), []).append((col, text))
+        return columns, rows
 
     def formula_items(self) -> list[tuple[CellAddress, Formula]]:
         """(address, formula) per formula cell, sheets in workbook order, row-major within each.

@@ -37,7 +37,7 @@ from sheetcheck.formulas import Binary, CellRef, FuncCall, RangeRef, Unary
 from sheetcheck.quality import COMPARED_METRICS
 
 from bundle_schema import VALIDATOR
-from conftest import addr, examples, fill_down_cells, make_workbook, python_calls, range_sum_cells
+from conftest import addr, examples, fill_down_cells, make_multi_workbook, make_workbook, python_calls, range_sum_cells
 from genwb import WorkbookGen, mutate_one_formula
 
 
@@ -305,6 +305,45 @@ def test_level_out_of_range_is_config_error(grades):
         generate_feedback(grades.bundle, grades.submission, 8)
 
 
+# ---------------------------------------------------------------- level-6 hints
+
+
+def _level_6_messages(reference, submission):
+    return list(generate_feedback(TaskBundle("t", make_workbook(reference)), make_workbook(submission), 6).messages)
+
+
+@pytest.mark.parametrize(
+    "formula, hint",
+    [
+        ("=B1+B2", "The operator '+' should be used in cell A1."),
+        ("=SUM(B1,B2)", "The function 'SUM' should be used in cell A1."),
+        ("=-B1", "The operator '-' should be used in cell A1."),
+        ("=B1", "The reference B1 should be used in cell A1."),
+        ("=B1:B2", "The references B1:B2 should be used in cell A1."),
+        ("=5", "The constant '5' should be used in cell A1."),
+    ],
+    ids=("operator", "function", "sign", "cell", "range", "constant"),
+)
+def test_a_constant_where_a_formula_is_expected_names_the_top_of_the_reference_formula(formula, hint):
+    inputs = {"B1": 1, "B2": 2}
+    messages = _level_6_messages({**inputs, "A1": formula}, {**inputs, "A1": 4})
+    assert messages == ["A formula is expected in cell A1.", hint]
+
+
+@pytest.mark.parametrize(
+    "expected, submitted, hint",
+    [
+        ("=A3*$D$1", "=A2*D1", "The absolute reference $D$1 should be used in cell B3."),
+        ("=A3*D1", "=A2*$D$1", "The relative reference D1 should be used in cell B3."),
+    ],
+    ids=("absolute", "relative"),
+)
+def test_a_reference_that_differs_only_in_its_dollar_signs_is_named_by_them(expected, submitted, hint):
+    inputs = {"A2": 2, "A3": 3, "D1": 10}
+    messages = _level_6_messages({**inputs, "B3": expected}, {**inputs, "B3": submitted})
+    assert messages == [hint, "The reference A3 should be used in cell B3."]
+
+
 # ---------------------------------------------------------------- syntax gate
 
 
@@ -338,6 +377,37 @@ def test_header_context_empty_sheet():
 def test_header_context_skips_numbers(grades):
     # B6's row header is the text in A6, numbers in between are skipped
     assert header_context(grades.solution, addr("B6")) == ("Ex. 1", "Avg.")
+
+
+def test_header_context_takes_the_nearest_text_strictly_before_on_its_sheet():
+    wb = make_multi_workbook({
+        "Sheet1": {"B1": "far", "B3": "near", "B4": "self", "B6": "below", "A4": "left", "C4": "right"},
+        "Other": {"B2": "other"},
+    })
+    assert header_context(wb, addr("B4")) == ("near", "left")
+    assert header_context(wb, addr("B3")) == ("far", None)
+    assert header_context(wb, addr("B4", sheet="Other")) == ("other", None)
+
+
+def _header_task(n, factor):
+    # n formulas B2..B{n+1} under the text header in B1
+    cells = {"A1": "x", "B1": "Score"}
+    for i in range(2, n + 2):
+        cells[f"A{i}"] = i
+        cells[f"B{i}"] = f"=A{i}*{factor}"
+    return make_workbook(cells)
+
+
+def test_level_4_headers_cost_linear_calls_in_the_formula_errors():
+    # Each error cell's headers are looked up in the reference's text cells,
+    # indexed once, not found by stepping up the column cell by cell.
+    def calls(n):
+        bundle = TaskBundle(task="t", reference=_header_task(n, 2))
+        report, count = python_calls(generate_feedback, bundle, _header_task(n, 3), 4)
+        assert report.messages[0].endswith(f"B{n + 1} are incorrect.")
+        return count
+
+    assert calls(2000) <= 2.3 * calls(1000)
 
 
 # ---------------------------------------------------------------- annotations and materials
@@ -428,6 +498,17 @@ def test_render_json_roundtrip_identity(grades):
     report = generate_feedback(grades.bundle, grades.submission, 6)
     text = render_json(report)
     assert json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n" == text
+
+
+def test_render_json_duplicate_calculation():
+    cells = {"B1": 1, "A1": "=B1*2", "A2": "=B1*2"}
+    report = generate_feedback(TaskBundle("t", make_workbook(cells)), make_workbook(cells), 7)
+    assert report.messages == ("The same calculation is used in cells A1, A2.",)
+    quality = (
+        '  "quality": [\n    {\n      "kind": "duplicate_calculation",\n'
+        '      "cells": [\n        "A1",\n        "A2"\n      ]\n    }\n  ],\n'
+    )
+    assert quality in render_json(report)
 
 
 # ---------------------------------------------------------------- bundles
@@ -644,12 +725,18 @@ def test_bundle_unknown_nested_field_is_config_error(field, value, name):
         ("reference", 5, "reference", "must be text or an object"),
         ("reference", None, "reference", "must be text or an object"),
         ("reference", [1], "reference", "must be text or an object"),
+        # A malformed reference workbook keeps the workbook reader's message.
+        ("reference", {"name": "r", "sheets": [], "surprise": 1}, None, "unknown top-level field 'surprise'"),
+        ("reference", {"name": "r", "sheets": [{"name": "S", "cells": {"a1": 1}}]}, None, "sheet 'S': bad cell address key 'a1'"),
+        ("reference", "broken.json", None, "invalid workbook JSON: Expecting value: line 1 column 10 (char 9)"),
     ],
 )
-def test_bundle_field_of_the_wrong_type_is_config_error(field, value, name, message):
+def test_bundle_field_of_the_wrong_type_is_config_error(tmp_path, field, value, name, message):
+    (tmp_path / "broken.json").write_text('{"name": ', encoding="utf-8")
     doc = {"task": "t", "reference": {"name": "r", "sheets": [{"name": "S", "cells": {"A1": 1}}]}, field: value}
-    with pytest.raises(TaskConfigError, match=f"^task bundle field '{re.escape(name)}' {message}$"):
-        load_bundle(doc)
+    expected = message if name is None else f"task bundle field '{name}' {message}"
+    with pytest.raises(TaskConfigError, match=f"^{re.escape(expected)}$"):
+        load_bundle(doc, tmp_path)
 
 
 def test_dumped_bundle_with_every_nested_field_loads():
