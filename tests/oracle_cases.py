@@ -71,6 +71,7 @@ ORACLE_CASES = [
     ("round_integer_unchanged", {"A1": "=ROUND(2,0)"}, "A1", n(2)),
     ("round_error_propagates", {"A1": "=ROUND(1/0,2)"}, "A1", DIV_ZERO),
     ("round_arity_violation", {"A1": "=ROUND(1)"}, "A1", BAD_VALUE),
+    ("round_tenths_half_away", {"A1": "=ROUND(0.15,1)"}, "A1", n(0.2)),
     ("round_text_is_bad_value", {"A1": '=ROUND("a",1)'}, "A1", BAD_VALUE),
     ("round_text_digits_is_bad_value", {"A1": '=ROUND(1,"a")'}, "A1", BAD_VALUE),
     # ---- ABS
@@ -130,6 +131,9 @@ ORACLE_CASES = [
     ("comparison_left_error_wins", {"A1": "=1/0<Missing!A1"}, "A1", DIV_ZERO),
     ("comparison_right_side_left_error_wins", {"A1": "=Missing!A1<1/0"}, "A1", BAD_REF),
     ("concat_left_error_wins", {"A1": "=1/0&Missing!A1"}, "A1", DIV_ZERO),
+    ("comparison_right_error_propagates", {"A1": "=1=1/0"}, "A1", DIV_ZERO),
+    ("concat_right_error_propagates", {"A1": '="a"&1/0'}, "A1", DIV_ZERO),
+    ("unary_minus_error_propagates", {"A1": "=-(1/0)"}, "A1", DIV_ZERO),
     # ---- nesting and ranges over formulas
     ("range_over_formula_cells", {"A1": "=SUM(A2:A3)", "A2": "=1+1", "A3": 4}, "A1", n(6)),
     ("nested_functions", {"A1": "=ROUND(SUM(1,2,0.125),2)"}, "A1", n(3.13)),
